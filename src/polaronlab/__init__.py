@@ -21,6 +21,7 @@ from .hamiltonians import (
 from .dynamics import (
     BlowUpError,
     EvolutionConfig,
+    SubstepConvergenceError,
     Trajectory,
     dressed_evolve,
     dressed_step,
@@ -36,6 +37,7 @@ from .dressing import (
     verify_dressed_identity,
 )
 from .picard import (
+    PicardConvergenceError,
     PicardDivergenceError,
     duhamel_map,
     find_contraction_time,

@@ -30,7 +30,8 @@ from .spectral import (
     FormFactorSet,
     GridMismatchError,
     PhasePoint,
-    field_A,
+    SpectralGrid,
+    abs2_sum,
     field_A_half,
 )
 
@@ -82,14 +83,16 @@ def _real(x: complex, scale: float, what: str) -> float:
     return float(x.real)
 
 
-def kinetic_energy(z: PhasePoint) -> float:
+def kinetic_energy(z: PhasePoint, uk: np.ndarray | None = None) -> float:
+    """||grad u||^2; uk is fourier(u) when the caller already holds it."""
     g = z.grid
-    uk = g.fourier(z.u)
+    if uk is None:
+        uk = g.fourier(z.u)
     return float(np.sum(g.k_sq * (uk.real**2 + uk.imag**2)) * g.dk)
 
 
 def phonon_energy(z: PhasePoint) -> float:
-    return float(np.vdot(z.alpha, z.alpha).real) * z.grid.dk
+    return abs2_sum(z.alpha) * z.grid.dk
 
 
 # -- undressed ------------------------------------------------------------------
@@ -98,7 +101,7 @@ def phonon_energy(z: PhasePoint) -> float:
 def h_undressed(z: PhasePoint) -> EnergyBreakdown:
     """Energy of the Landau-Pekar system, itemized."""
     g = z.grid
-    a = field_A(g, z.alpha, g.f_inf)
+    a = g.field_real(z.alpha, g.f_inf_sym)
     w = z.u.real**2 + z.u.imag**2
     coupling = float(np.sum(a * w) * g.dx)
     return EnergyBreakdown.assemble(kinetic_energy(z), phonon_energy(z),
@@ -108,7 +111,7 @@ def h_undressed(z: PhasePoint) -> EnergyBreakdown:
 def grad_undressed(z: PhasePoint) -> GradientPair:
     """grad_zbar h: the right-hand sides (-Delta u + A u, alpha + f F(|u|^2))."""
     g = z.grid
-    a = field_A(g, z.alpha, g.f_inf)
+    a = g.field_real(z.alpha, g.f_inf_sym)
     uk = g.fourier(z.u)
     du = g.inverse(g.k_sq * uk) + a * z.u
     w = z.u.real**2 + z.u.imag**2
@@ -133,21 +136,41 @@ def _dressed_fields(z: PhasePoint, ff: FormFactorSet):
         raise GridMismatchError("form factors built on a different grid")
     w = z.u.real**2 + z.u.imag**2
     # P_j(x) = <alpha, k_j B e^{-ik.x}>, stacked over components
-    kb = ff.kB_stack
-    p = field_A_half(g, z.alpha, kb)
+    p = field_A_half(g, z.alpha, ff.kB_stack)
     big_w = 2.0 * p.real
     uk = g.fourier(z.u)
-    du_d = g.inverse(np.stack([kc * uk for kc in g.k_comps]))
-    return w, p, big_w, du_d, uk
+    return w, p, big_w, g.grad_d(uk), uk
 
 
-def pair_convolution(ff: FormFactorSet, w: np.ndarray,
-                     w_hat: np.ndarray | None = None) -> np.ndarray:
+# -- the dressed terms shared by the energy, its gradient and the dressed
+# Strang substeps -------------------------------------------------------------
+
+
+def drift_du(g: SpectralGrid, p: np.ndarray, v: np.ndarray,
+             dv: np.ndarray) -> np.ndarray:
+    """u-gradient of the drift term, -2 [P . D + D . conj(P)] v, for the
+    stack P and dv = D v (hermitian in v at fixed P)."""
+    return -2.0 * ((p * dv).sum(axis=0) + g.div_d(np.conj(p) * v))
+
+
+def drift_dalpha(ff: FormFactorSet, u: np.ndarray,
+                 du_d: np.ndarray) -> np.ndarray:
+    """alpha-gradient of the drift term, -2 sum_j k_j B F(conj(u) D_j u)."""
+    g = ff.grid
+    return -2.0 * (ff.kB_stack * g.fourier_dx(np.conj(u) * du_d)).sum(axis=0)
+
+
+def quadratic_dalpha(ff: FormFactorSet, big_w: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
+    """alpha-gradient of the quadratic field term, 2 sum_j k_j B F(W_j |u|^2)
+    with W = 2 Re P."""
+    return 2.0 * ff.grid.symbol_fourier_dx(ff.kB_sym, big_w * w)
+
+
+def pair_convolution(ff: FormFactorSet, w: np.ndarray) -> np.ndarray:
     """(V * w)(x) by transform-based circular convolution of real fields."""
     g = ff.grid
-    if w_hat is None:
-        w_hat = sfft.rfftn(w)
-    return sfft.irfftn(ff.V_hat * w_hat, s=g.shape) * g.dx
+    return sfft.irfftn(ff.V_hat * sfft.rfftn(w), s=g.shape) * g.dx
 
 
 def h_dressed(z: PhasePoint, ff: FormFactorSet) -> EnergyBreakdown:
@@ -157,7 +180,7 @@ def h_dressed(z: PhasePoint, ff: FormFactorSet) -> EnergyBreakdown:
     g = z.grid
     w, p, big_w, du_d, uk = _dressed_fields(z, ff)
 
-    a_ir = field_A(g, z.alpha, ff.f_ir)
+    a_ir = g.field_real(z.alpha, ff.f_ir_sym)
     coupling_ir = float(np.sum(a_ir * w) * g.dx)
 
     pair = float(np.sum(w * pair_convolution(ff, w)) * g.dx)
@@ -165,17 +188,11 @@ def h_dressed(z: PhasePoint, ff: FormFactorSet) -> EnergyBreakdown:
     quad = float(np.sum((big_w**2).sum(axis=0) * w) * g.dx)
 
     # -2 int conj(u) [ P . D + D . conj(P) ] u dx, D applied spectrally
-    term1 = np.vdot(z.u, (p * du_d).sum(axis=0)) * g.dx
-    pbar_u = np.conj(p) * z.u
-    pbar_u_k = g.fourier(pbar_u)
-    d_of = g.inverse(sum(kc * pbar_u_k[j]
-                         for j, kc in enumerate(g.k_comps)))
-    term2 = np.vdot(z.u, d_of) * g.dx
-    drift_c = -2.0 * (term1 + term2)
+    drift_c = g.inner_x(z.u, drift_du(g, p, z.u, du_d))
     drift = _real(drift_c, abs(drift_c), "drift term")
 
     return EnergyBreakdown.assemble(
-        kinetic_energy(z), phonon_energy(z),
+        kinetic_energy(z, uk), phonon_energy(z),
         {"coupling_ir": coupling_ir, "pair": pair,
          "quadratic": quad, "drift": drift})
 
@@ -187,28 +204,20 @@ def dressed_term_gradients(z: PhasePoint, ff: FormFactorSet) -> dict:
     _require_full_range(ff)
     g = z.grid
     w, p, big_w, du_d, uk = _dressed_fields(z, ff)
-    kb = ff.kB_stack
     zero_k = np.zeros(g.shape, dtype=np.complex128)
-    w_hat = sfft.rfftn(w)
-    w_dx = g.fourier_dx(w)
 
-    a_ir = field_A(g, z.alpha, ff.f_ir)
-    out = {"coupling_ir": GradientPair(du=a_ir * z.u,
-                                       dalpha=ff.f_ir * w_dx)}
+    a_ir = g.field_real(z.alpha, ff.f_ir_sym)
+    out = {"coupling_ir": GradientPair(
+        du=a_ir * z.u, dalpha=g.symbol_fourier_dx(ff.f_ir_sym, w))}
 
     out["pair"] = GradientPair(
-        du=2.0 * pair_convolution(ff, w, w_hat=w_hat) * z.u, dalpha=zero_k)
+        du=2.0 * pair_convolution(ff, w) * z.u, dalpha=zero_k)
 
-    quad_da = 2.0 * (kb * g.fourier_dx(big_w * w)).sum(axis=0)
     out["quadratic"] = GradientPair(du=(big_w**2).sum(axis=0) * z.u,
-                                    dalpha=quad_da)
+                                    dalpha=quadratic_dalpha(ff, big_w, w))
 
-    pbar_u_k = g.fourier(np.conj(p) * z.u)
-    d_of = g.inverse(sum(kc * pbar_u_k[j]
-                         for j, kc in enumerate(g.k_comps)))
-    drift_du = -2.0 * ((p * du_d).sum(axis=0) + d_of)
-    drift_da = -2.0 * (kb * g.fourier_dx(np.conj(z.u) * du_d)).sum(axis=0)
-    out["drift"] = GradientPair(du=drift_du, dalpha=drift_da)
+    out["drift"] = GradientPair(du=drift_du(g, p, z.u, du_d),
+                                dalpha=drift_dalpha(ff, z.u, du_d))
     return out
 
 
@@ -232,12 +241,6 @@ def grad_dressed(z: PhasePoint, ff: FormFactorSet) -> GradientPair:
 def grad_undressed_interaction(z: PhasePoint) -> GradientPair:
     """Gradient of the cubic coupling term of h alone."""
     g = z.grid
-    a = field_A(g, z.alpha, g.f_inf)
+    a = g.field_real(z.alpha, g.f_inf_sym)
     w = z.u.real**2 + z.u.imag**2
     return GradientPair(du=a * z.u, dalpha=g.f_inf * g.fourier_dx(w))
-
-
-def directional_derivative(breakdown_grad: GradientPair,
-                           v: PhasePoint) -> float:
-    """2 Re <grad, v> with the weighted pairing (for gradient checks)."""
-    return 2.0 * breakdown_grad.pairing(v).real

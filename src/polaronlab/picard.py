@@ -20,7 +20,19 @@ import numpy as np
 
 from .diagnostics import pair_label, strichartz_pairs
 from .dynamics import EvolutionConfig, Trajectory, free_flow, lp_evolve
-from .spectral import FormFactorSet, PhasePoint, SpectralGrid, field_A
+from .spectral import FormFactorSet, PhasePoint, SpectralGrid
+
+
+class PicardConvergenceError(RuntimeError):
+    """The Picard iteration stopped at max_iter without reaching its
+    tolerance, so its trajectory is not a certified fixed point."""
+
+    def __init__(self, iterations: int, last_diff: float):
+        self.iterations = iterations
+        self.last_diff = last_diff
+        super().__init__(
+            f"Picard iteration not converged after {iterations} iterations "
+            f"(last successive difference {last_diff:.3e})")
 
 
 class PicardDivergenceError(RuntimeError):
@@ -71,7 +83,9 @@ def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
 
     The running integrals are accumulated incrementally; composing the exact
     free propagator with the trapezoid increments reproduces the full
-    trapezoid sum node by node.
+    trapezoid sum node by node.  The free part and the electron accumulator
+    are carried in k-space, where the free propagator over one mesh step is
+    a multiplier, so each node costs one inverse transform of their sum.
     """
     g = z0.grid
     if not g.same_as(candidate.grid):
@@ -84,35 +98,34 @@ def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
     out_u = np.empty_like(candidate.u)
     out_a = np.empty_like(candidate.alpha)
 
-    def integrand_u(i):
-        a = field_A(g, candidate.alpha[i], f_inf)
-        return a * candidate.u[i]
+    def integrand_u_k(i):
+        a = g.field_real(candidate.alpha[i], g.f_inf_sym)
+        return g.fourier(a * candidate.u[i])
 
     def integrand_a(i):
         w = candidate.u[i].real**2 + candidate.u[i].imag**2
         return f_inf * g.fourier_dx(w)
 
-    kin_half = None
-    acc_u = np.zeros(g.shape, dtype=np.complex128)
     acc_a = np.zeros(g.shape, dtype=np.complex128)
-    prev_gu = integrand_u(0)
+    prev_gu_k = integrand_u_k(0)
     prev_ga = integrand_a(0)
     out_u[0] = z0.u
     out_a[0] = z0.alpha
     if n > 1:
         kin_step = np.exp(-1j * dt * g.k_sq)
         phase_step = cmath.exp(-1j * dt)
+        free_k = g.fourier(z0.u)
+        acc_k = np.zeros(g.shape, dtype=np.complex128)
     for i in range(1, n):
-        gu = integrand_u(i)
+        gu_k = integrand_u_k(i)
         ga = integrand_a(i)
         # acc(t_i) = e^{i dt Lap} acc(t_{i-1}) + dt/2 (e^{i dt Lap} g_{i-1} + g_i)
-        acc_u = g.inverse(kin_step * g.fourier(acc_u + 0.5 * dt * prev_gu))
-        acc_u += 0.5 * dt * gu
+        free_k = kin_step * free_k
+        acc_k = kin_step * (acc_k + 0.5 * dt * prev_gu_k) + 0.5 * dt * gu_k
         acc_a = phase_step * (acc_a + 0.5 * dt * prev_ga) + 0.5 * dt * ga
-        zfree = free_flow(z0, times[i])
-        out_u[i] = zfree.u - 1j * acc_u
-        out_a[i] = zfree.alpha - 1j * acc_a
-        prev_gu, prev_ga = gu, ga
+        out_u[i] = g.inverse(free_k - 1j * acc_k)
+        out_a[i] = cmath.exp(-1j * times[i]) * z0.alpha - 1j * acc_a
+        prev_gu_k, prev_ga = gu_k, ga
     return MeshTrajectory(grid=g, times=times, u=out_u, alpha=out_a)
 
 
@@ -198,9 +211,16 @@ def find_contraction_time(z0: PhasePoint, t_start: float = 0.4,
 
 
 def picard_vs_strang(z0: PhasePoint, t_final: float, ff: FormFactorSet,
-                     n_nodes: int = 257, dt: float = 1e-3) -> float:
-    """Endpoint distance between the fixed point and the Strang integrator."""
-    res = picard_solve(z0, t_final, n_nodes=n_nodes)
+                     n_nodes: int = 257, dt: float = 1e-3,
+                     max_iter: int = 60) -> float:
+    """Endpoint distance between the fixed point and the Strang integrator.
+
+    Raises PicardConvergenceError when the iteration stops short of its
+    tolerance: an unconverged iterate measures nothing about the flow.
+    """
+    res = picard_solve(z0, t_final, n_nodes=n_nodes, max_iter=max_iter)
+    if not res.converged:
+        raise PicardConvergenceError(res.iterations, res.diffs[-1])
     cfg = EvolutionConfig(dt=dt, t_final=t_final, record_every=10**9)
     traj: Trajectory = lp_evolve(z0, cfg, ff, collect=False)
     return res.trajectory.endpoint().distance(traj.final())

@@ -61,26 +61,37 @@ class SpectralGrid:
         )
         self.k_sq = sum(kc**2 for kc in self.k_comps)
         self.k_mag = np.sqrt(self.k_sq)
+        # the same components as one (d, N, ..., N) stack
+        self.k_vec = np.stack(np.broadcast_arrays(*self.k_comps))
         self._norm_fwd = (_TWO_PI) ** (-d / 2.0) * self.dx
         self._norm_inv = (_TWO_PI) ** (-d / 2.0) * self.dk * self.size
+        # half lattice of the real transforms: the last axis keeps the
+        # indices 0 .. N/2 (Nyquist included)
+        self.n_half = self.n // 2 + 1
+        self.half_shape = self.shape[:-1] + (self.n_half,)
+        self.rest_shape = self.shape[:-1] + (self.n - self.n_half,)
+        # flat indices of -k: for the points of the half lattice into the
+        # full one, and for the points off it (the rest) into the half one;
+        # along every axis index i maps to (-i) mod N, so a Nyquist index
+        # maps to itself
+        neg = np.ix_(*[(-np.arange(self.n)) % self.n] * d)
+        neg_flat = np.ravel_multi_index(neg, self.shape)
+        self._neg_of_half = neg_flat[..., :self.n_half].ravel()
+        self._neg_of_rest = np.ravel_multi_index(
+            np.unravel_index(neg_flat[..., self.n_half:], self.shape),
+            self.half_shape).ravel()
         self._f_inf = None
+        self._f_inf_sym = None
 
     # -- transforms ---------------------------------------------------------
 
-    def _workers(self, a: np.ndarray) -> int | None:
-        # batched component stacks benefit from a second thread; single
-        # transforms at these sizes do not
-        return 2 if a.ndim > self.d else None
-
     def fourier(self, u: np.ndarray) -> np.ndarray:
         """Unitary forward transform of a spatial field."""
-        return sfft.fftn(u, axes=self._axes(u),
-                         workers=self._workers(u)) * self._norm_fwd
+        return self._c2c(sfft.fftn, u, self._norm_fwd)
 
     def inverse(self, v: np.ndarray) -> np.ndarray:
         """Unitary inverse transform of a frequency field."""
-        return sfft.ifftn(v, axes=self._axes(v),
-                          workers=self._workers(v)) * self._norm_inv
+        return self._c2c(sfft.ifftn, v, self._norm_inv)
 
     def fourier_dx(self, u: np.ndarray) -> np.ndarray:
         """dx-weighted transform sum_x u e^{-ik.x} dx (no 2pi normalization).
@@ -88,13 +99,84 @@ class SpectralGrid:
         This is the transform appearing in the phonon source f * F(|u|^2) and
         in every frequency-side Wirtinger gradient.
         """
-        return sfft.fftn(u, axes=self._axes(u),
-                         workers=self._workers(u)) * self.dx
+        return self._c2c(sfft.fftn, u, self.dx)
 
     def inverse_dk(self, v: np.ndarray) -> np.ndarray:
         """dk-weighted sum sum_k v e^{+ik.x} dk, inverse partner of fourier_dx."""
-        return sfft.ifftn(v, axes=self._axes(v),
-                          workers=self._workers(v)) * (self.dk * self.size)
+        return self._c2c(sfft.ifftn, v, self.dk * self.size)
+
+    def _c2c(self, transform, a: np.ndarray, scale: float,
+             scratch: bool = False) -> np.ndarray:
+        # scaled in place; scratch = True lets the transform overwrite a,
+        # a temporary of the caller's.  On a 2-vCPU VM the page faults of a
+        # fresh output array for a 32^3 component stack cost about as much
+        # as the transform itself.
+        out = transform(a, axes=self._axes(a), overwrite_x=scratch)
+        out *= scale
+        return out
+
+    # -- real fields on the half lattice -------------------------------------
+
+    def reflect(self, a: np.ndarray) -> np.ndarray:
+        """a(-k) where the other lattice lacks it: for a on the full lattice
+        at the points of the half lattice, for a on the half lattice at the
+        points off it (rest_shape).  a may carry one leading stacking axis."""
+        if a.shape[-self.d:] == self.shape:
+            idx, shape = self._neg_of_half, self.half_shape
+        else:
+            self._half_axes(a)
+            idx, shape = self._neg_of_rest, self.rest_shape
+        lead = a.shape[:a.ndim - self.d]
+        flat = a.reshape(lead + (-1,))
+        return np.take(flat, idx, axis=-1).reshape(lead + shape)
+
+    def half_symbol(self, g: np.ndarray) -> tuple:
+        """The pair (g(k), g(-k)) on the half lattice that field_real and
+        symbol_fourier_dx take; g may be a (d, ...) stack."""
+        return np.ascontiguousarray(g[..., :self.n_half]), self.reflect(g)
+
+    def expand_half(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Full-lattice spectrum equal to s on the half lattice and to
+        conj(t(-k)) off it.  t = s expands a Hermitian spectrum (the
+        transform of a real field), t = -s an anti-Hermitian one."""
+        out = np.empty(s.shape[:-1] + (self.n,), dtype=np.complex128)
+        out[..., :self.n_half] = s
+        out[..., self.n_half:] = np.conj(self.reflect(t))
+        return out
+
+    def field_real(self, alpha: np.ndarray, sym: tuple) -> np.ndarray:
+        """2 Re sum_k conj(alpha) g e^{-ik.x} dk, with sym = half_symbol(g).
+
+        The spectrum alpha conj(g) is Hermitian-symmetrised on the half
+        lattice, alpha conj(g) + conj(alpha(-k)) g(-k), and brought back by
+        one c2r transform per component of g, so the field is real by
+        construction.
+        """
+        g_half, g_neg = sym
+        a_neg = np.conj(self.reflect(alpha))
+        spec = alpha[..., :self.n_half] * _conj(g_half) + a_neg * g_neg
+        spec *= self.dk * self.size
+        return sfft.irfftn(spec, s=self.shape, axes=self._half_axes(spec))
+
+    def symbol_fourier_dx(self, sym: tuple, r: np.ndarray) -> np.ndarray:
+        """g * fourier_dx(r) on the full lattice for a real field r, with
+        sym = half_symbol(g); a (d, ...) stack r is contracted against the
+        stack g, giving sum_j g_j fourier_dx(r_j).
+
+        One r2c transform per component.  Off the half lattice the product
+        is conj of sum_j conj(g_j(-k)) F(r_j) at -k: g_j need not be even,
+        and k_j B is not odd on the Nyquist plane of axis j, where -k = k.
+        """
+        g_half, g_neg = sym
+        rk = sfft.rfftn(r, axes=self._axes(r))
+        s = g_half * rk
+        t = _conj(g_neg) * rk
+        if rk.ndim > self.d:
+            s = s.sum(axis=0)
+            t = t.sum(axis=0)
+        out = self.expand_half(s, t)
+        out *= self.dx
+        return out
 
     def _axes(self, a: np.ndarray) -> tuple:
         # allow one leading stacking axis (e.g. the d components of a vector)
@@ -104,30 +186,46 @@ class SpectralGrid:
             return tuple(range(1, self.d + 1))
         raise GridMismatchError(f"field of shape {a.shape} does not live on {self}")
 
+    def _half_axes(self, a: np.ndarray) -> tuple:
+        if a.shape[-self.d:] != self.half_shape or a.ndim > self.d + 1:
+            raise GridMismatchError(
+                f"spectrum of shape {a.shape} does not live on the half "
+                f"lattice of {self}")
+        return tuple(range(a.ndim - self.d, a.ndim))
+
     # -- calculus -----------------------------------------------------------
 
-    def gradient_d(self, u: np.ndarray) -> np.ndarray:
-        """D u = -i grad u, returned as a (d, N, ..., N) stack (multiplier k)."""
-        uk = self.fourier(u)
-        stack = np.stack([kc * uk for kc in self.k_comps])
-        return self.inverse(stack)
+    def grad_d(self, uk: np.ndarray) -> np.ndarray:
+        """D u = -i grad u as a (d, N, ..., N) stack, from uk = fourier(u)."""
+        return self._c2c(sfft.ifftn, self.k_vec * uk, self._norm_inv, True)
+
+    def div_d(self, q: np.ndarray) -> np.ndarray:
+        """D . q = sum_j D_j q_j of a (d, N, ..., N) stack q."""
+        # the normalisations of fourier and inverse multiply to one
+        qk = sfft.fftn(q, axes=self._axes(q))
+        qk *= self.k_vec
+        return sfft.ifftn(qk.sum(axis=0), axes=tuple(range(self.d)),
+                          overwrite_x=True)
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
         return -self.inverse(self.k_sq * self.fourier(u))
 
     # -- inner products and norms -------------------------------------------
 
+    # ufunc reductions, never BLAS: a BLAS dot product leaves its worker
+    # threads spinning for a fraction of a second after each call
+
     def inner_x(self, a: np.ndarray, b: np.ndarray) -> complex:
-        return complex(np.vdot(a, b) * self.dx)
+        return complex(np.sum(np.conj(a) * b) * self.dx)
 
     def inner_k(self, a: np.ndarray, b: np.ndarray) -> complex:
-        return complex(np.vdot(a, b) * self.dk)
+        return complex(np.sum(np.conj(a) * b) * self.dk)
 
     def norm_x(self, a: np.ndarray) -> float:
-        return math.sqrt(float(np.vdot(a, a).real) * self.dx)
+        return math.sqrt(abs2_sum(a) * self.dx)
 
     def norm_k(self, a: np.ndarray) -> float:
-        return math.sqrt(float(np.vdot(a, a).real) * self.dk)
+        return math.sqrt(abs2_sum(a) * self.dk)
 
     def lq_norm_x(self, a: np.ndarray, q: float) -> float:
         """Discrete L^q norm (sum |a|^q dx)^(1/q)."""
@@ -141,6 +239,13 @@ class SpectralGrid:
         if self._f_inf is None:
             self._f_inf = form_factor_f(self.k_mag, self.d, math.inf)
         return self._f_inf
+
+    @property
+    def f_inf_sym(self) -> tuple:
+        """half_symbol(f_inf)."""
+        if self._f_inf_sym is None:
+            self._f_inf_sym = self.half_symbol(self.f_inf)
+        return self._f_inf_sym
 
     def same_as(self, other: "SpectralGrid") -> bool:
         return (
@@ -159,6 +264,15 @@ class SpectralGrid:
 
 def build_grid(d: int, n: int, length: float) -> SpectralGrid:
     return SpectralGrid(d, n, length)
+
+
+def _conj(a: np.ndarray) -> np.ndarray:
+    return np.conj(a) if np.iscomplexobj(a) else a
+
+
+def abs2_sum(a: np.ndarray) -> float:
+    """sum |a|^2 as a ufunc reduction."""
+    return float(np.sum(a.real**2 + a.imag**2))
 
 
 # -- phase points -------------------------------------------------------------
@@ -193,7 +307,7 @@ class PhasePoint:
 
     def mass(self) -> float:
         """||u||^2 in the dx-weighted L2 norm."""
-        return float(np.vdot(self.u, self.u).real) * self.grid.dx
+        return abs2_sum(self.u) * self.grid.dx
 
     def norm(self) -> float:
         """L2 (+) L2 norm of the pair."""
@@ -258,6 +372,8 @@ class FormFactorSet:
     B: np.ndarray
     kB: tuple              # d arrays, k_j * B
     kB_stack: np.ndarray   # the same as one (d, ...) array
+    f_ir_sym: tuple        # half_symbol(f_ir)
+    kB_sym: tuple          # half_symbol(kB_stack)
     pair_symbol: np.ndarray  # |B|^2 + 2 B f, the symbol generating V
     V: np.ndarray          # effective pair potential on the x-lattice
     V_hat: np.ndarray      # raw rfftn(V), cached for the convolution kernel
@@ -292,6 +408,7 @@ def build_form_factors(grid: SpectralGrid, sigma0: float,
     B = gross_generator_b(k, grid.d, sigma0, sigma)
     kB = tuple(kc * B for kc in grid.k_comps)
     f_ir = form_factor_f(k, grid.d, sigma0)
+    kB_stack = np.stack(kB)
     s = B * B + 2.0 * B * f
     v_complex = grid.inverse_dk(s)
     resid = float(np.max(np.abs(v_complex.imag)))
@@ -300,7 +417,8 @@ def build_form_factors(grid: SpectralGrid, sigma0: float,
     v = v_complex.real
     return FormFactorSet(grid=grid, sigma0=float(sigma0), sigma=float(sigma),
                          f=f, f_ir=f_ir, B=B, kB=kB,
-                         kB_stack=np.stack(kB), pair_symbol=s,
+                         kB_stack=kB_stack, f_ir_sym=grid.half_symbol(f_ir),
+                         kB_sym=grid.half_symbol(kB_stack), pair_symbol=s,
                          V=v, V_hat=sfft.rfftn(v),
                          sigma0_below_first_shell=below)
 
@@ -313,11 +431,11 @@ def field_A(grid: SpectralGrid, alpha: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     g is a table on the k-lattice: real (the couplings f), purely imaginary
     (the dressing generator iB), or a (d, ...) stack for vector couplings like
-    k B.  One inverse transform per component; the result is exactly real.
+    k B.  One c2r transform per component; the result is exactly real.
+    Callers holding half_symbol(g) call grid.field_real directly.
     """
     grid.check_field(alpha)
-    w = grid.inverse_dk(alpha * np.conj(g))
-    return 2.0 * w.real
+    return grid.field_real(alpha, grid.half_symbol(g))
 
 
 def field_A_half(grid: SpectralGrid, alpha: np.ndarray,

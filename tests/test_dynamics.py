@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from polaronlab.diagnostics import diagnostics_row
 from polaronlab.dynamics import (
     BlowUpError,
     EvolutionConfig,
+    SubstepConvergenceError,
     dressed_evolve,
     dressed_step,
     evolve_interaction_picture,
@@ -16,7 +18,11 @@ from polaronlab.dynamics import (
     lp_step,
     _evolve,
 )
-from polaronlab.hamiltonians import grad_dressed_interaction
+from polaronlab.hamiltonians import (
+    grad_dressed,
+    grad_dressed_interaction,
+    h_dressed,
+)
 from polaronlab.initial_data import random_smooth_state
 from polaronlab.spectral import PhasePoint
 
@@ -153,6 +159,32 @@ class TestDressedFlow:
         back = dressed_step(dressed_step(smooth_state, 1e-3, ff16),
                             -1e-3, ff16)
         assert back.distance(smooth_state) < 1e-10
+
+    def test_large_step_raises(self, grid16, ff16, smooth_state):
+        # (h/2)||drift|| > 1: the midpoint fixed point runs away instead of
+        # contracting, and the step must say so rather than return
+        strong = PhasePoint(grid16, smooth_state.u, 20.0 * smooth_state.alpha)
+        with pytest.raises(SubstepConvergenceError) as err:
+            dressed_step(strong, 1.0, ff16)
+        assert err.value.iterations == 12
+        assert err.value.update > 1e-8
+
+
+def test_classical_path_makes_no_blas_reduction(monkeypatch, ff16,
+                                                smooth_state):
+    """A BLAS dot product leaves its worker threads spinning for a fraction
+    of a second after each call, which doubles the process CPU time of the
+    dressed flow; the classical layer reduces with ufuncs only."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS reduction on the classical path")
+
+    for owner, name in ((np, "vdot"), (np, "dot"), (np.linalg, "norm")):
+        monkeypatch.setattr(owner, name, refuse)
+    z = dressed_step(smooth_state, 1e-2, ff16)
+    h_dressed(z, ff16)
+    grad_dressed(z, ff16)
+    diagnostics_row(z, ff16, 0.0)
 
 
 class TestInteractionPicture:

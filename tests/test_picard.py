@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from polaronlab.dynamics import EvolutionConfig, free_flow, lp_evolve
 from polaronlab.initial_data import random_smooth_state
 from polaronlab.picard import (
     MeshTrajectory,
+    PicardConvergenceError,
     PicardDivergenceError,
     duhamel_map,
     find_contraction_time,
@@ -14,7 +17,7 @@ from polaronlab.picard import (
     picard_vs_strang,
     strichartz_report,
 )
-from polaronlab.spectral import PhasePoint, build_grid
+from polaronlab.spectral import PhasePoint, build_grid, field_A
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +40,34 @@ class TestDuhamelMap:
         cand = MeshTrajectory.from_free_flow(z0, 0.3, 33)
         out = duhamel_map(cand, z0)
         assert out.sup_distance(cand) < 1e-13
+
+    def test_matches_node_by_node_free_flow(self, small_state):
+        """The map carries the free part and the electron accumulator in
+        k-space; the reference recomputes the free flow at every node and
+        accumulates in x-space."""
+        z0 = small_state
+        g = z0.grid
+        cand = MeshTrajectory.from_free_flow(z0, 0.1, 65)
+        cand = duhamel_map(cand, z0)   # a candidate that is not free
+        times = cand.times
+        dt = times[1] - times[0]
+        kin = np.exp(-1j * dt * g.k_sq)
+        gu = [field_A(g, a, g.f_inf) * u for u, a in zip(cand.u, cand.alpha)]
+        ga = [g.f_inf * g.fourier_dx(np.abs(u) ** 2) for u in cand.u]
+        acc_u = np.zeros(g.shape, dtype=complex)
+        acc_a = np.zeros(g.shape, dtype=complex)
+        ref_u, ref_a = [z0.u], [z0.alpha]
+        for i in range(1, len(times)):
+            acc_u = g.inverse(kin * g.fourier(acc_u + 0.5 * dt * gu[i - 1])) \
+                + 0.5 * dt * gu[i]
+            acc_a = cmath.exp(-1j * dt) * (acc_a + 0.5 * dt * ga[i - 1]) \
+                + 0.5 * dt * ga[i]
+            free = free_flow(z0, times[i])
+            ref_u.append(free.u - 1j * acc_u)
+            ref_a.append(free.alpha - 1j * acc_a)
+        ref = MeshTrajectory(grid=g, times=times, u=np.array(ref_u),
+                             alpha=np.array(ref_a))
+        assert duhamel_map(cand, z0).sup_distance(ref) < 1e-13 * z0.norm()
 
     def test_contraction_on_small_horizon(self, small_state):
         ratios = measure_contraction(small_state, 0.2, n_nodes=65)
@@ -66,6 +97,12 @@ class TestPicardSolve:
     def test_endpoint_matches_strang(self, grid16, ff16, small_state):
         gap = picard_vs_strang(small_state, 0.1, ff16, n_nodes=401, dt=2.5e-4)
         assert gap < 1e-6
+
+    def test_vs_strang_refuses_unconverged(self, ff16, small_state):
+        with pytest.raises(PicardConvergenceError) as err:
+            picard_vs_strang(small_state, 0.1, ff16, n_nodes=33, dt=1e-2,
+                             max_iter=1)
+        assert err.value.iterations == 1
 
     def test_divergence_abort(self, grid16):
         big = random_smooth_state(grid16, seed=2, u_amp=40.0, alpha_amp=25.0,

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polaronlab.spectral import (
     GridMismatchError,
@@ -209,6 +212,153 @@ class TestFieldA:
         assert np.max(np.abs(
             2.0 * field_A_half(g, alpha, gtab).real
             - field_A(g, alpha, gtab))) < 1e-13
+
+
+# -- real-field transforms on the half lattice -----------------------------------
+
+grids = st.builds(build_grid, d=st.sampled_from([1, 2, 3]),
+                  n=st.sampled_from([4, 6, 8]),
+                  length=st.floats(min_value=2.0, max_value=20.0))
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+real_field_settings = settings(max_examples=30, deadline=None)
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _form_factors(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_form_factors(g, sigma0=0.6)
+
+
+def _symbols(g, rng):
+    """Real (f), imaginary (iB) and stacked (k B) couplings plus a generic
+    complex table with no parity at all."""
+    ff = _form_factors(g)
+    return {"real": ff.f, "imaginary": 1j * ff.B, "stacked": ff.kB_stack,
+            "generic": _complex(rng, g.shape)}
+
+
+def _nyquist(g, axis):
+    """Index of the Nyquist plane of one axis, for any stacking."""
+    idx = [slice(None)] * g.d
+    idx[axis] = g.n // 2
+    return (Ellipsis,) + tuple(idx)
+
+
+class TestRealFieldTransforms:
+    @real_field_settings
+    @given(g=grids, seed=seeds)
+    def test_reflect_is_negation_mod_n(self, g, seed):
+        a = _complex(np.random.default_rng(seed), g.shape)
+        on_half = g.reflect(a)
+        off_half = g.reflect(np.ascontiguousarray(a[..., :g.n_half]))
+        assert on_half.shape == g.half_shape
+        assert off_half.shape == g.rest_shape
+        for idx in np.ndindex(*g.shape):
+            neg = tuple((-i) % g.n for i in idx)
+            if idx[-1] < g.n_half:
+                assert on_half[idx] == a[neg]
+            else:
+                assert off_half[idx[:-1] + (idx[-1] - g.n_half,)] == a[neg]
+        # a field on the Nyquist plane of any axis stays on it
+        for ax in range(g.d):
+            on_plane = np.zeros(g.shape, dtype=complex)
+            on_plane[_nyquist(g, ax)] = 1.0
+            assert np.array_equal(g.reflect(on_plane),
+                                  on_plane[..., :g.n_half])
+        # stacks reflect componentwise
+        stack = np.stack([a, 2.0 * a])
+        assert np.array_equal(g.reflect(stack)[1], 2.0 * on_half)
+
+    @real_field_settings
+    @given(g=grids, seed=seeds)
+    def test_hermitian_expansion_is_the_full_transform(self, g, seed):
+        r = np.random.default_rng(seed).standard_normal(g.shape)
+        full = g.fourier_dx(r)
+        half = full[..., :g.n_half]
+        assert np.allclose(g.expand_half(half, half), full,
+                           rtol=0, atol=1e-12 * np.max(np.abs(full)))
+        # anti-Hermitian: the transform of i r
+        assert np.allclose(g.expand_half(1j * half, -1j * half), 1j * full,
+                           rtol=0, atol=1e-12 * np.max(np.abs(full)))
+
+    @real_field_settings
+    @given(g=grids, seed=seeds)
+    def test_odd_symbol_needs_its_reflection(self, g, seed):
+        """sum_j k_j B F(r_j) is anti-Hermitian except on the Nyquist planes
+        of the non-halved axes, where -k = k along that axis; expanding it
+        as anti-Hermitian is wrong there, symbol_fourier_dx is right."""
+        rng = np.random.default_rng(seed)
+        ff = _form_factors(g)
+        r = rng.standard_normal((g.d,) + g.shape)
+        exact = (ff.kB_stack * g.fourier_dx(r)).sum(axis=0)
+        got = g.symbol_fourier_dx(ff.kB_sym, r)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(got - exact)) <= 1e-12 * scale
+        s = exact[..., :g.n_half]
+        naive = g.expand_half(s, -s)
+        if g.d > 1:
+            for ax in range(g.d - 1):
+                plane = _nyquist(g, ax)
+                assert np.max(np.abs(naive[plane] - exact[plane])) \
+                    > 1e-6 * scale
+        off_nyquist = np.ones(g.shape, dtype=bool)
+        for ax in range(g.d - 1):
+            off_nyquist[_nyquist(g, ax)] = False
+        assert np.max(np.abs((naive - exact)[off_nyquist])) <= 1e-12 * scale
+
+    @real_field_settings
+    @given(g=grids, seed=seeds)
+    def test_round_trips(self, g, seed):
+        # fourier_dx and inverse_dk compose to (2 pi)^d
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal(g.shape)
+        two_pi_d = (2.0 * math.pi) ** g.d
+        one = g.half_symbol(np.ones(g.shape))
+        spec = g.symbol_fourier_dx(one, r)
+        tol = 1e-12 * two_pi_d * np.max(np.abs(r))
+        assert np.max(np.abs(g.inverse_dk(spec) - two_pi_d * r)) < tol
+        # and back through the c2r side, which doubles the real field
+        assert np.max(np.abs(g.field_real(spec, one) - 2.0 * two_pi_d * r)) \
+            < 2.0 * tol
+
+    @real_field_settings
+    @given(g=grids, seed=seeds,
+           which=st.sampled_from(["real", "imaginary", "stacked", "generic"]))
+    def test_agree_with_complex_path(self, g, seed, which):
+        rng = np.random.default_rng(seed)
+        gtab = _symbols(g, rng)[which]
+        sym = g.half_symbol(gtab)
+        alpha = _complex(rng, g.shape)
+        ref = 2.0 * g.inverse_dk(alpha * np.conj(gtab)).real
+        scale = 1.0 + np.max(np.abs(ref))
+        assert np.max(np.abs(g.field_real(alpha, sym) - ref)) < 1e-12 * scale
+        assert np.max(np.abs(field_A(g, alpha, gtab) - ref)) < 1e-12 * scale
+        r = rng.standard_normal(gtab.shape)
+        ref = gtab * g.fourier_dx(r)
+        if ref.ndim > g.d:
+            ref = ref.sum(axis=0)
+        scale = 1.0 + np.max(np.abs(ref))
+        assert np.max(np.abs(g.symbol_fourier_dx(sym, r) - ref)) \
+            < 1e-12 * scale
+
+    @real_field_settings
+    @given(g=grids, seed=seeds)
+    def test_grad_and_div(self, g, seed):
+        rng = np.random.default_rng(seed)
+        u = _complex(rng, g.shape)
+        uk = g.fourier(u)
+        du = g.grad_d(uk)
+        for j, kc in enumerate(g.k_comps):
+            assert np.allclose(du[j], g.inverse(kc * uk), rtol=0,
+                               atol=1e-12 * (1.0 + np.max(np.abs(du))))
+        # D . D = -Laplacian
+        lap = g.laplacian(u)
+        assert np.allclose(g.div_d(du), -lap, rtol=0,
+                           atol=1e-12 * (1.0 + np.max(np.abs(lap))))
 
 
 class TestPhasePoint:
