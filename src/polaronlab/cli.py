@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, dressing, dynamics, fock, hamiltonians, picard
-from .initial_data import build_state, random_smooth_state
-from .spectral import PhasePoint, build_form_factors, build_grid
+from .initial_data import build_state, random_smooth_states
+from .spectral import build_form_factors, build_grid
 
 CSV_SCHEMA_VERSION = 1
 
@@ -101,10 +101,6 @@ SCHEMA = {
     },
 }
 
-SCENARIOS = ("free", "lp", "dressed", "energy_order", "conjugation",
-             "dressed_identity", "gradient_check", "picard", "strichartz",
-             "fock_lemma", "fock_correspondence", "fock_klmn")
-
 
 def load_config(path: str | Path) -> dict:
     """Parse and validate an INI config against the schema.
@@ -130,11 +126,14 @@ def load_config(path: str | Path) -> dict:
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for [{sec}] {key} = {raw!r}: {exc}") from exc
-    if cfg["scenario"]["name"] not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {cfg['scenario']['name']!r}; choose from "
-            f"{', '.join(SCENARIOS)}")
+    _check_scenario(cfg["scenario"]["name"])
     return cfg
+
+
+def _check_scenario(name: str) -> None:
+    if name not in RUNNERS:
+        raise ConfigError(f"unknown scenario {name!r}; choose from "
+                          f"{', '.join(RUNNERS)}")
 
 
 def _fmt(x) -> str:
@@ -159,21 +158,13 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-def _trajectory_rows(traj) -> list:
-    rows = []
-    for r in traj.rows:
-        d = r.as_dict()
-        row = {c: d.get(c, 0.0) for c in TRAJECTORY_COLUMNS}
-        rows.append(row)
-    return rows
-
-
 def _write_trajectory(outdir: Path, traj) -> dict:
     write_csv(outdir / "trajectory.csv", TRAJECTORY_COLUMNS,
-              _trajectory_rows(traj))
-    mass = [r.mass for r in traj.rows]
+              [{c: d.get(c, 0.0) for c in TRAJECTORY_COLUMNS}
+               for d in (r.as_dict() for r in traj.rows)])
     return {
-        "mass_drift": float(np.max(np.abs(diagnostics.relative_drift(mass)))),
+        "mass_drift": diagnostics.max_relative_drift(
+            [r.mass for r in traj.rows]),
         "records": len(traj),
     }
 
@@ -181,24 +172,35 @@ def _write_trajectory(outdir: Path, traj) -> dict:
 # -- scenario runners ---------------------------------------------------------------
 
 
-def _grid_and_state(cfg, seed):
+def _grid_and_ff(cfg):
     g = build_grid(cfg["grid"]["d"], cfg["grid"]["n"], cfg["grid"]["length"])
-    ff = build_form_factors(g, cfg["form_factors"]["sigma0"],
-                            cfg["form_factors"]["sigma"])
-    z0 = build_state(g, cfg["initial"], seed)
-    return g, ff, z0
+    return g, build_form_factors(g, cfg["form_factors"]["sigma0"],
+                                 cfg["form_factors"]["sigma"])
 
 
-def _evolution_config(cfg) -> dynamics.EvolutionConfig:
-    e = cfg["evolution"]
-    return dynamics.EvolutionConfig(dt=e["dt"], t_final=e["t_final"],
-                                    scheme=e["scheme"],
-                                    record_every=e["record_every"])
+def _grid_and_state(cfg, seed):
+    g, ff = _grid_and_ff(cfg)
+    return g, ff, build_state(g, cfg["initial"], seed)
+
+
+def _random_states(cfg, g, seed):
+    ini = cfg["initial"]
+    return random_smooth_states(g, cfg["scenario"]["n_states"], seed,
+                                u_amp=ini["u_amp"],
+                                alpha_amp=ini["alpha_amp"],
+                                k_cut=ini["k_cut"])
+
+
+def _emit(outdir: Path, csv_name: str, columns, figure) -> dict:
+    """Write the rows of an (info, verdicts, rows) figure; return the rest."""
+    info, verdicts, rows = figure
+    write_csv(outdir / csv_name, columns, rows)
+    return {"info": info, "verdicts": verdicts}
 
 
 def run_free(cfg, outdir, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
-    ecfg = _evolution_config(cfg)
+    ecfg = dynamics.EvolutionConfig(**cfg["evolution"])
     stride = ecfg.dt * ecfg.record_every
     n_records = int(round(ecfg.t_final / stride))
     traj = dynamics.Trajectory()
@@ -207,192 +209,89 @@ def run_free(cfg, outdir, seed):
         zt = dynamics.free_flow(z0, t)
         traj.append(t, zt, diagnostics.diagnostics_row(zt, ff, t))
     info = _write_trajectory(outdir, traj)
-    mass = [r.mass for r in traj.rows]
-    kin = [r.h.kinetic for r in traj.rows]
     verdicts = {
-        "mass_exact": float(np.max(np.abs(diagnostics.relative_drift(mass)))) < 1e-12,
-        "kinetic_exact": float(np.max(np.abs(diagnostics.relative_drift(kin)))) < 1e-12,
+        "mass_exact": info["mass_drift"] < 1e-12,
+        "kinetic_exact": diagnostics.max_relative_drift(
+            [r.h.kinetic for r in traj.rows]) < 1e-12,
     }
     return {"info": info, "verdicts": verdicts}
 
 
-def run_lp(cfg, outdir, seed):
-    g, ff, z0 = _grid_and_state(cfg, seed)
-    traj = dynamics.lp_evolve(z0, _evolution_config(cfg), ff)
-    info = _write_trajectory(outdir, traj)
-    energies = [r.h.total for r in traj.rows]
-    info["energy_drift"] = float(np.max(np.abs(
-        diagnostics.relative_drift(energies))))
-    verdicts = {"mass_conserved": info["mass_drift"] < 1e-8}
-    return {"info": info, "verdicts": verdicts}
+def _flow_runner(evolve, energy):
+    def run(cfg, outdir, seed):
+        g, ff, z0 = _grid_and_state(cfg, seed)
+        traj = evolve(z0, dynamics.EvolutionConfig(**cfg["evolution"]), ff)
+        info = _write_trajectory(outdir, traj)
+        info["energy_drift"] = diagnostics.max_relative_drift(
+            [energy(r) for r in traj.rows])
+        return {"info": info, "verdicts": {
+            "mass_conserved": info["mass_drift"] < dynamics.MASS_DRIFT_TOL}}
+
+    return run
 
 
-def run_dressed(cfg, outdir, seed):
-    g, ff, z0 = _grid_and_state(cfg, seed)
-    traj = dynamics.dressed_evolve(z0, _evolution_config(cfg), ff)
-    info = _write_trajectory(outdir, traj)
-    energies = [r.hhat.total for r in traj.rows]
-    info["energy_drift"] = float(np.max(np.abs(
-        diagnostics.relative_drift(energies))))
-    verdicts = {"mass_conserved": info["mass_drift"] < 1e-8}
-    return {"info": info, "verdicts": verdicts}
+run_lp = _flow_runner(dynamics.lp_evolve, lambda r: r.h.total)
+run_dressed = _flow_runner(dynamics.dressed_evolve, lambda r: r.hhat.total)
 
 
 def run_energy_order(cfg, outdir, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
-    levels = cfg["scenario"]["dt_levels"]
-    t_final = cfg["evolution"]["t_final"]
-    rows = []
-    drifts = {"lp": [], "dressed": []}
-    for dt in levels:
-        for name, evolve, energy in (
-                ("lp", dynamics.lp_evolve, lambda r: r.h.total),
-                ("dressed", dynamics.dressed_evolve, lambda r: r.hhat.total)):
-            ecfg = dynamics.EvolutionConfig(
-                dt=dt, t_final=t_final,
-                record_every=max(1, int(round(t_final / dt / 20))))
-            traj = evolve(z0, ecfg, ff)
-            vals = [energy(r) for r in traj.rows]
-            drift = float(np.max(np.abs(diagnostics.relative_drift(vals))))
-            drifts[name].append(drift)
-            rows.append({"flow": name, "dt": dt, "energy_drift": drift})
-    write_csv(outdir / "energy_order.csv", ("flow", "dt", "energy_drift"), rows)
-    verdicts = {}
-    summary = {"drifts": drifts}
-    for name in ("lp", "dressed"):
-        ratios = [drifts[name][i] / drifts[name][i + 1]
-                  for i in range(len(levels) - 1)]
-        summary[f"{name}_ratios"] = ratios
-        verdicts[f"{name}_second_order"] = all(3.0 <= r <= 5.0 for r in ratios)
-    return {"info": summary, "verdicts": verdicts}
+    return _emit(outdir, "energy_order.csv", ("flow", "dt", "energy_drift"),
+                 dynamics.energy_order(z0, ff, cfg["scenario"]["dt_levels"],
+                                       cfg["evolution"]["t_final"]))
 
 
 def run_conjugation(cfg, outdir, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
-    t_sample = cfg["scenario"]["t_sample"]
-    levels = cfg["scenario"]["dt_levels"]
-    rows = []
-    end_errors = []
-    for dt in levels:
-        ecfg = dynamics.EvolutionConfig(
-            dt=dt, t_final=t_sample,
-            record_every=max(1, int(round(t_sample / dt / 10))))
-        times, errors = dressing.verify_conjugation(z0, t_sample, ecfg, ff)
-        end_errors.append(float(errors[-1]))
-        for t, e in zip(times, errors):
-            rows.append({"dt": dt, "t": float(t), "error": float(e)})
-    write_csv(outdir / "conjugation.csv", ("dt", "t", "error"), rows)
-    orders, monotone = diagnostics.convergence_order(end_errors)
-    info = {"errors": end_errors, "orders": orders.tolist(),
-            "t0_error": rows[0]["error"]}
-    verdicts = {
-        "t0_exact": rows[0]["error"] < 1e-12,
-        "second_order": monotone and all(1.7 <= o <= 2.3 for o in orders),
-    }
-    return {"info": info, "verdicts": verdicts}
+    return _emit(outdir, "conjugation.csv", ("dt", "t", "error"),
+                 dressing.conjugation_order(z0, ff,
+                                            cfg["scenario"]["dt_levels"],
+                                            cfg["scenario"]["t_sample"]))
 
 
 def run_dressed_identity(cfg, outdir, seed):
-    g = build_grid(cfg["grid"]["d"], cfg["grid"]["n"], cfg["grid"]["length"])
-    ff = build_form_factors(g, cfg["form_factors"]["sigma0"],
-                            cfg["form_factors"]["sigma"])
-    n_states = cfg["scenario"]["n_states"]
-    ini = cfg["initial"]
-    rows = []
-    for i in range(n_states):
-        z = random_smooth_state(g, seed + i, u_amp=ini["u_amp"],
-                                alpha_amp=ini["alpha_amp"],
-                                k_cut=ini["k_cut"])
-        rows.append({"state": i,
-                     "residual": dressing.verify_dressed_identity(z, ff)})
-    write_csv(outdir / "dressed_identity.csv", ("state", "residual"), rows)
-    worst = max(r["residual"] for r in rows)
-    return {"info": {"worst_residual": worst, "n_states": n_states},
-            "verdicts": {"identity": worst < 1e-9}}
+    g, ff = _grid_and_ff(cfg)
+    return _emit(outdir, "dressed_identity.csv", ("state", "residual"),
+                 dressing.identity_residuals(ff, _random_states(cfg, g, seed)))
 
 
 def run_gradient_check(cfg, outdir, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
-    h = cfg["scenario"]["fd_step"]
-    n_dirs = cfg["scenario"]["n_directions"]
-    rng = np.random.default_rng(seed + 1)
-    targets = {
-        "h": (lambda z: hamiltonians.h_undressed(z).total,
-              hamiltonians.grad_undressed(z0)),
-        "hhat": (lambda z: hamiltonians.h_dressed(z, ff).total,
-                 hamiltonians.grad_dressed(z0, ff)),
-    }
-    rows = []
-    worst = {}
-    for name, (fun, grad) in targets.items():
-        worst[name] = 0.0
-        for i in range(n_dirs):
-            v = PhasePoint(
-                g,
-                rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape),
-                rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape),
-                check=False)
-            v = v.scaled(1.0 / v.norm())
-            fd = (fun(z0.add(v, h)) - fun(z0.add(v, -h))) / (2.0 * h)
-            an = 2.0 * grad.pairing(v).real
-            rel = abs(fd - an) / (1.0 + abs(an))
-            worst[name] = max(worst[name], rel)
-            rows.append({"functional": name, "direction": i, "rel_error": rel})
-    write_csv(outdir / "gradient_check.csv",
-              ("functional", "direction", "rel_error"), rows)
-    verdicts = {f"grad_{k}": v < 1e-6 for k, v in worst.items()}
-    return {"info": {"worst": worst, "fd_step": h, "n_directions": n_dirs},
-            "verdicts": verdicts}
+    return _emit(outdir, "gradient_check.csv",
+                 ("functional", "direction", "rel_error"),
+                 hamiltonians.gradient_check(
+                     z0, ff, cfg["scenario"]["n_directions"],
+                     np.random.default_rng(seed + 1),
+                     h=cfg["scenario"]["fd_step"]))
 
 
 def run_picard(cfg, outdir, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
     sc = cfg["scenario"]
-    t_c = picard.find_contraction_time(z0, t_start=sc["picard_t_start"],
-                                       n_nodes=sc["picard_nodes"])
-    ratios = picard.measure_contraction(z0, t_c, n_nodes=sc["picard_nodes"])
-    t_match = min(t_c, 0.1)
-    n_steps = max(1, int(round(t_match / sc["picard_dt"])))
-    dt = t_match / n_steps
-    gap = picard.picard_vs_strang(z0, t_match, ff,
-                                  n_nodes=sc["picard_nodes"], dt=dt)
-    rows = [{"n": i + 1, "ratio": r} for i, r in enumerate(ratios)]
-    write_csv(outdir / "picard.csv", ("n", "ratio"), rows)
-    info = {"contraction_time": t_c, "ratios": ratios,
-            "endpoint_gap": gap, "match_horizon": t_match}
-    verdicts = {
-        "contracting": len(ratios) >= 5 and all(r <= 0.5 for r in ratios[:5]),
-        "matches_strang": gap < 1e-6,
-    }
-    return {"info": info, "verdicts": verdicts}
+    return _emit(outdir, "picard.csv", ("n", "ratio"),
+                 picard.contraction_check(
+                     z0, ff, t_start=sc["picard_t_start"],
+                     n_nodes=sc["picard_nodes"],
+                     match_nodes=sc["picard_nodes"], dt=sc["picard_dt"]))
 
 
 def run_strichartz(cfg, outdir, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
-    traj = dynamics.lp_evolve(z0, _evolution_config(cfg), ff)
-    report = picard.strichartz_report(traj)
-    n_states = cfg["scenario"]["n_states"]
-    ini = cfg["initial"]
-    rows = []
-    worst = math.inf
-    if g.d >= 3:
-        for i in range(n_states):
-            z = random_smooth_state(g, seed + 1000 + i, u_amp=ini["u_amp"],
-                                    alpha_amp=ini["alpha_amp"],
-                                    k_cut=ini["k_cut"])
-            resid = picard.interpolation_residual(g, z.u)
-            worst = min(worst, resid)
-            rows.append({"state": i, "residual": resid})
-        write_csv(outdir / "interpolation.csv", ("state", "residual"), rows)
-    finite = all(math.isfinite(v) for k, v in report.items()
+    ecfg = dynamics.EvolutionConfig(**cfg["evolution"])
+    report = picard.strichartz_report(dynamics.lp_evolve(z0, ecfg, ff))
+    finite = all(math.isfinite(v) for v in report.values()
                  if isinstance(v, float))
+    info = {"report": report, "worst_interpolation_residual": None}
     verdicts = {"norms_finite": bool(finite)}
     if g.d >= 3:
-        verdicts["interpolation_nonnegative"] = worst >= -1e-10
-    return {"info": {"report": report,
-                     "worst_interpolation_residual":
-                         None if worst is math.inf else worst},
-            "verdicts": verdicts}
+        interp = _emit(outdir, "interpolation.csv", ("state", "residual"),
+                       picard.interpolation_residuals(
+                           _random_states(cfg, g, seed + 1000)))
+        worst = interp["info"]["worst_residual"]
+        if not math.isinf(worst):
+            info["worst_interpolation_residual"] = worst
+        verdicts.update(interp["verdicts"])
+    return {"info": info, "verdicts": verdicts}
 
 
 def _fock_model(cfg, eps=None, dk=None):
@@ -407,19 +306,20 @@ def _fock_model(cfg, eps=None, dk=None):
         sigma0=f["sigma0"])
 
 
+def _quantity_rows(rep: dict, keys) -> list:
+    return [{"quantity": k, "value": rep[k]} for k in keys]
+
+
 def run_fock_lemma(cfg, outdir, seed):
-    model = _fock_model(cfg, dk=cfg["fock"]["lemma_dk"])
-    rep = fock.dressed_comparison(model)
-    rows = [{"quantity": "restricted_diff_norm",
-             "value": rep["restricted_diff_norm"]},
-            {"quantity": "restricted_scale", "value": rep["restricted_scale"]},
-            {"quantity": "subspace_dim", "value": float(rep["subspace_dim"])}]
-    write_csv(outdir / "fock_lemma.csv", ("quantity", "value"), rows)
+    rep = fock.dressed_comparison(_fock_model(cfg, dk=cfg["fock"]["lemma_dk"]))
+    write_csv(outdir / "fock_lemma.csv", ("quantity", "value"),
+              _quantity_rows(rep, ("restricted_diff_norm", "restricted_scale",
+                                   "subspace_dim")))
     info = {k: rep[k] for k in ("restricted_diff_norm", "restricted_scale",
                                 "n_cut", "subspace_dim")}
     return {"info": info,
             "verdicts": {"dressed_expansion":
-                         rep["restricted_diff_norm"] < 1e-6}}
+                         rep["restricted_diff_norm"] < fock.EXPANSION_TOL}}
 
 
 def run_fock_correspondence(cfg, outdir, seed):
@@ -428,27 +328,19 @@ def run_fock_correspondence(cfg, outdir, seed):
         lambda eps: _fock_model(cfg, eps=eps),
         list(f["eps_list"]), list(f["phi0"]), list(f["alpha0"]),
         f["t_final"], n_times=f["n_times"])
-    rows = []
-    for eps, errs in res["errors"].items():
-        for t, e in zip(res["times"], errs):
-            rows.append({"eps": eps, "t": t, "error": e})
-    write_csv(outdir / "correspondence.csv", ("eps", "t", "error"), rows)
-    eps_sorted = sorted(res["errors"], reverse=True)
-    final = [res["errors"][e][-1] for e in eps_sorted]
-    monotone = all(final[i + 1] <= 1.1 * final[i]
-                   for i in range(len(final) - 1))
-    return {"info": {"eps": eps_sorted, "final_errors": final},
-            "verdicts": {"monotone_in_eps": bool(monotone)}}
+    write_csv(outdir / "correspondence.csv", ("eps", "t", "error"),
+              [{"eps": eps, "t": t, "error": e}
+               for eps, errs in res["errors"].items()
+               for t, e in zip(res["times"], errs)])
+    return {"info": {"eps": res["eps"], "final_errors": res["final_errors"]},
+            "verdicts": {"monotone_in_eps": res["monotone"]}}
 
 
 def run_fock_klmn(cfg, outdir, seed):
-    model = _fock_model(cfg)
-    rep = fock.klmn_check(model, n_samples=cfg["fock"]["klmn_samples"],
-                          seed=seed)
+    rep = fock.klmn_check(_fock_model(cfg),
+                          n_samples=cfg["fock"]["klmn_samples"], seed=seed)
     write_csv(outdir / "fock_klmn.csv", ("quantity", "value"),
-              [{"quantity": "a", "value": rep["a"]},
-               {"quantity": "C", "value": rep["C"]},
-               {"quantity": "norm_kB_sq", "value": rep["norm_kB_sq"]}])
+              _quantity_rows(rep, ("a", "C", "norm_kB_sq")))
     return {"info": rep, "verdicts": {"form_bound": bool(rep["satisfied"])}}
 
 
@@ -474,8 +366,7 @@ def run_scenario(cfg: dict, outdir: str | Path, seed: int | None = None,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     name = scenario or cfg["scenario"]["name"]
-    if name not in RUNNERS:
-        raise ConfigError(f"unknown scenario {name!r}")
+    _check_scenario(name)
     used_seed = cfg["initial"]["seed"] if seed is None else seed
     summary = {"scenario": name, "seed": used_seed,
                "csv_schema": CSV_SCHEMA_VERSION}

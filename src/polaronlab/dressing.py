@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .diagnostics import convergence_order
 from .dynamics import EvolutionConfig, Trajectory, dressed_evolve, lp_evolve
 from .hamiltonians import h_dressed, h_undressed
 from .spectral import FormFactorSet, GridMismatchError, PhasePoint, field_A
 
 CANCELLATION_TOL = 1e-10
+IDENTITY_TOL = 1e-9
+T0_TOL = 1e-12
+CONJUGATION_ORDER_WINDOW = (1.7, 2.3)
 
 
 def dressing_phase(z: PhasePoint, ff: FormFactorSet,
@@ -32,9 +36,7 @@ def dressing_phase(z: PhasePoint, ff: FormFactorSet,
         raise GridMismatchError("form factors built on a different grid")
     phase = field_A(g, z.alpha, 1j * ff.B)
     if check_cancellation:
-        w = z.u.real**2 + z.u.imag**2
-        induced = ff.B * g.fourier_dx(w)
-        resid = float(np.max(np.abs(field_A(g, induced, 1j * ff.B))))
+        resid = cancellation_residual(z, ff)
         scale = 1.0 + float(np.max(np.abs(phase)))
         if resid > CANCELLATION_TOL * scale:
             raise AssertionError(
@@ -70,7 +72,16 @@ def verify_dressed_identity(z: PhasePoint, ff: FormFactorSet) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-def verify_conjugation(z0: PhasePoint, t_final: float, cfg: EvolutionConfig,
+def identity_residuals(ff: FormFactorSet, states) -> tuple:
+    """verify_dressed_identity over states, as (info, verdicts, rows)."""
+    rows = [{"state": i, "residual": verify_dressed_identity(z, ff)}
+            for i, z in enumerate(states)]
+    worst = max(r["residual"] for r in rows)
+    return ({"worst_residual": worst, "n_states": len(rows)},
+            {"identity": worst < IDENTITY_TOL}, rows)
+
+
+def verify_conjugation(z0: PhasePoint, cfg: EvolutionConfig,
                        ff: FormFactorSet) -> tuple:
     """Distance curve between phi_t(z0) and the dressing conjugate of the
     dressed flow, D(1) phihat_t(D(-1) z0).
@@ -81,11 +92,8 @@ def verify_conjugation(z0: PhasePoint, t_final: float, cfg: EvolutionConfig,
     D(-1).  (Writing the conjugation with the opposite signs leaves an O(1)
     mismatch for every dt, which is how the orientation was pinned down.)
 
-    Returns (times, errors) sampled at the recording stride of cfg.
+    Returns (times, errors) on [0, cfg.t_final] at the recording stride.
     """
-    if abs(cfg.t_final - t_final) > 1e-12:
-        cfg = EvolutionConfig(dt=cfg.dt, t_final=t_final, scheme=cfg.scheme,
-                              record_every=cfg.record_every)
     lp: Trajectory = lp_evolve(z0, cfg, ff, collect=False)
     dressed: Trajectory = dressed_evolve(dressing_apply(z0, -1.0, ff), cfg, ff,
                                          collect=False)
@@ -96,6 +104,31 @@ def verify_conjugation(z0: PhasePoint, t_final: float, cfg: EvolutionConfig,
         times.append(t)
         errors.append(z_lp.distance(back))
     return np.asarray(times), np.asarray(errors)
+
+
+def conjugation_order(z0: PhasePoint, ff: FormFactorSet, dt_levels,
+                      t_sample: float) -> tuple:
+    """verify_conjugation curves on [0, t_sample], recorded about 10
+    times, at each dt of dt_levels and the convergence orders of their end
+    errors, as (info, verdicts, rows)."""
+    rows, end_errors = [], []
+    for dt in dt_levels:
+        cfg = EvolutionConfig(
+            dt=dt, t_final=t_sample,
+            record_every=max(1, int(round(t_sample / dt / 10))))
+        times, errors = verify_conjugation(z0, cfg, ff)
+        end_errors.append(float(errors[-1]))
+        rows.extend({"dt": dt, "t": float(t), "error": float(e)}
+                    for t, e in zip(times, errors))
+    orders, monotone = convergence_order(end_errors)
+    lo, hi = CONJUGATION_ORDER_WINDOW
+    info = {"errors": end_errors, "orders": orders.tolist(),
+            "t0_error": rows[0]["error"]}
+    verdicts = {
+        "t0_exact": rows[0]["error"] < T0_TOL,
+        "second_order": monotone and all(lo <= o <= hi for o in orders),
+    }
+    return info, verdicts, rows
 
 
 def symplectic_pairing_defect(z: PhasePoint, v: PhasePoint, w: PhasePoint,
@@ -115,3 +148,12 @@ def symplectic_pairing_defect(z: PhasePoint, v: PhasePoint, w: PhasePoint,
     tw = push(w)
     ref = v.pairing(w).imag
     return abs(tv.pairing(tw).imag - ref)
+
+
+def pairing_defects(z: PhasePoint, ff: FormFactorSet, rng: np.random.Generator,
+                    steps=(1e-3, 1e-4), n_pairs: int = 5) -> dict:
+    """Worst symplectic_pairing_defect over n_pairs random tangent pairs at
+    each step h; D(1) is symplectic, so each is O(h)."""
+    tangent = lambda: PhasePoint.random_unit(z.grid, rng)
+    return {h: max(symplectic_pairing_defect(z, tangent(), tangent(), ff, h)
+                   for _ in range(n_pairs)) for h in steps}

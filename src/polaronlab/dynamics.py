@@ -18,12 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRow, diagnostics_row
+from .diagnostics import DiagnosticsRow, diagnostics_row, max_relative_drift
 from .hamiltonians import (
     GradientPair,
     drift_dalpha,
     drift_du,
+    grad_dressed,
     grad_dressed_interaction,
+    grad_undressed,
     pair_convolution,
     quadratic_dalpha,
 )
@@ -35,6 +37,9 @@ from .spectral import (
 )
 
 BLOWUP_FACTOR = 1e6
+MASS_DRIFT_TOL = 1e-8
+# halving dt divides a second-order energy drift by a factor in this window
+ENERGY_ORDER_WINDOW = (3.0, 5.0)
 
 
 class BlowUpError(RuntimeError):
@@ -160,12 +165,13 @@ def lp_step(z: PhasePoint, dt: float,
 # -- dressed splitting -------------------------------------------------------------
 
 
-def _rk4_increment(z: PhasePoint, dt: float, rhs) -> PhasePoint:
-    """One RK4 step for dz/dt = rhs(z) on phase points."""
-    k1 = rhs(z)
-    k2 = rhs(z.add(k1, 0.5 * dt))
-    k3 = rhs(z.add(k2, 0.5 * dt))
-    k4 = rhs(z.add(k3, dt))
+def _rk4_increment(z: PhasePoint, dt: float, rhs,
+                   t: float = 0.0) -> PhasePoint:
+    """One RK4 step from time t for dz/dt = rhs(t, z) on phase points."""
+    k1 = rhs(t, z)
+    k2 = rhs(t + 0.5 * dt, z.add(k1, 0.5 * dt))
+    k3 = rhs(t + 0.5 * dt, z.add(k2, 0.5 * dt))
+    k4 = rhs(t + dt, z.add(k3, dt))
     incr_u = (dt / 6.0) * (k1.u + 2.0 * k2.u + 2.0 * k3.u + k4.u)
     incr_a = (dt / 6.0) * (k1.alpha + 2.0 * k2.alpha + 2.0 * k3.alpha + k4.alpha)
     return PhasePoint(z.grid, z.u + incr_u, z.alpha + incr_a, check=False)
@@ -286,7 +292,7 @@ def dressed_step(z: PhasePoint, dt: float, ff: FormFactorSet,
 
 
 def _full_rhs(grad_fn):
-    def rhs(z: PhasePoint) -> PhasePoint:
+    def rhs(_t: float, z: PhasePoint) -> PhasePoint:
         grad: GradientPair = grad_fn(z)
         return PhasePoint(z.grid, -1j * grad.du, -1j * grad.dalpha, check=False)
 
@@ -298,7 +304,6 @@ def _full_rhs(grad_fn):
 
 def _evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
             stepper, collect: bool = True) -> Trajectory:
-    g = z0.grid
     traj = Trajectory()
     z = z0.copy()
     initial_peak = float(np.max(np.abs(z.u)))
@@ -318,34 +323,32 @@ def _evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
     return traj
 
 
+def _flow_evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
+                 collect: bool, strang_step, grad_fn) -> Trajectory:
+    if cfg.scheme == "strang-split":
+        mult = _half_kinetic_multiplier(z0.grid, cfg.dt)
+        stepper = lambda z: strang_step(z, mult)
+    else:
+        rhs = _full_rhs(grad_fn)
+        stepper = lambda z: _rk4_increment(z, cfg.dt, rhs)
+    return _evolve(z0, cfg, ff, stepper, collect)
+
+
 def lp_evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
               collect: bool = True) -> Trajectory:
     """Evolve the Landau-Pekar equations, recording diagnostics."""
-    g = z0.grid
-    if cfg.scheme == "strang-split":
-        mult = _half_kinetic_multiplier(g, cfg.dt)
-        stepper = lambda z: lp_step(z, cfg.dt, _mult=mult)
-    else:
-        from .hamiltonians import grad_undressed
-
-        rhs = _full_rhs(grad_undressed)
-        stepper = lambda z: _rk4_increment(z, cfg.dt, rhs)
-    return _evolve(z0, cfg, ff, stepper, collect)
+    return _flow_evolve(z0, cfg, ff, collect,
+                        lambda z, mult: lp_step(z, cfg.dt, _mult=mult),
+                        grad_undressed)
 
 
 def dressed_evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
                    collect: bool = True) -> Trajectory:
     """Evolve the dressed Hamilton equations."""
-    g = z0.grid
-    if cfg.scheme == "strang-split":
-        mult = _half_kinetic_multiplier(g, cfg.dt)
-        stepper = lambda z: dressed_step(z, cfg.dt, ff, _mult=mult)
-    else:
-        from .hamiltonians import grad_dressed
-
-        rhs = _full_rhs(lambda z: grad_dressed(z, ff))
-        stepper = lambda z: _rk4_increment(z, cfg.dt, rhs)
-    return _evolve(z0, cfg, ff, stepper, collect)
+    return _flow_evolve(z0, cfg, ff, collect,
+                        lambda z, mult: dressed_step(z, cfg.dt, ff,
+                                                     _mult=mult),
+                        lambda z: grad_dressed(z, ff))
 
 
 # -- interaction picture -------------------------------------------------------------
@@ -372,14 +375,38 @@ def evolve_interaction_picture(z0: PhasePoint, cfg: EvolutionConfig,
     consistency check.
     """
     w = z0.copy()
-    dt = cfg.dt
+    rhs = lambda t, v: interaction_field_X(t, v, ff)
     for step in range(cfg.n_steps):
-        t = step * dt
-        k1 = interaction_field_X(t, w, ff)
-        k2 = interaction_field_X(t + 0.5 * dt, w.add(k1, 0.5 * dt), ff)
-        k3 = interaction_field_X(t + 0.5 * dt, w.add(k2, 0.5 * dt), ff)
-        k4 = interaction_field_X(t + dt, w.add(k3, dt), ff)
-        incr_u = (dt / 6.0) * (k1.u + 2 * k2.u + 2 * k3.u + k4.u)
-        incr_a = (dt / 6.0) * (k1.alpha + 2 * k2.alpha + 2 * k3.alpha + k4.alpha)
-        w = PhasePoint(w.grid, w.u + incr_u, w.alpha + incr_a, check=False)
+        w = _rk4_increment(w, cfg.dt, rhs, step * cfg.dt)
     return free_flow(w, cfg.t_final)
+
+
+# -- second-order energy conservation ------------------------------------------------
+
+
+def energy_order(z0: PhasePoint, ff: FormFactorSet, dt_levels,
+                 t_final: float) -> tuple:
+    """Energy drifts of the LP flow (h) and the dressed flow (hhat) on
+    [0, t_final], recorded about 20 times, at each dt of dt_levels, and
+    their successive ratios, as (info, verdicts, rows)."""
+    flows = (("lp", lp_evolve, lambda r: r.h.total),
+             ("dressed", dressed_evolve, lambda r: r.hhat.total))
+    drifts = {name: [] for name, _, _ in flows}
+    rows = []
+    for dt in dt_levels:
+        cfg = EvolutionConfig(
+            dt=dt, t_final=t_final,
+            record_every=max(1, int(round(t_final / dt / 20))))
+        for name, evolve, energy in flows:
+            traj = evolve(z0, cfg, ff)
+            drift = max_relative_drift([energy(r) for r in traj.rows])
+            drifts[name].append(drift)
+            rows.append({"flow": name, "dt": dt, "energy_drift": drift})
+    info = {"drifts": drifts}
+    verdicts = {}
+    lo, hi = ENERGY_ORDER_WINDOW
+    for name, d in drifts.items():
+        ratios = [a / b for a, b in zip(d, d[1:])]
+        info[f"{name}_ratios"] = ratios
+        verdicts[f"{name}_second_order"] = all(lo <= r <= hi for r in ratios)
+    return info, verdicts, rows

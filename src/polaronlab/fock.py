@@ -28,6 +28,9 @@ from scipy.integrate import solve_ivp
 from .spectral import form_factor_f, gross_generator_b
 
 HERMITICITY_TOL = 1e-10
+EXPANSION_TOL = 1e-6
+KLMN_A_CAP = 0.9
+BOHR_SLACK = 1.1
 
 
 @dataclass
@@ -64,6 +67,12 @@ def _sector_tuples(n_modes: int, n_max: int):
     return sorted(out)
 
 
+def _momentum_table(momenta) -> np.ndarray:
+    """(M, dim) momenta; a plain list of floats gives dim = 1."""
+    m = np.asarray(momenta, dtype=float)
+    return m[:, None] if m.ndim == 1 else m
+
+
 class FockModel:
     """Workspace: basis index, ladder matrices, mode tables.
 
@@ -82,12 +91,8 @@ class FockModel:
                  eps: float, n_max_particles: int, n_max_phonons: int,
                  sigma0: float, sigma: float = math.inf,
                  max_dim: int = 5000):
-        self.p = np.atleast_2d(np.asarray(particle_momenta, dtype=float).T).T \
-            if np.asarray(particle_momenta).ndim == 1 \
-            else np.asarray(particle_momenta, dtype=float)
-        self.k = np.atleast_2d(np.asarray(phonon_momenta, dtype=float).T).T \
-            if np.asarray(phonon_momenta).ndim == 1 \
-            else np.asarray(phonon_momenta, dtype=float)
+        self.p = _momentum_table(particle_momenta)
+        self.k = _momentum_table(phonon_momenta)
         if self.p.shape[1] != self.k.shape[1]:
             raise ValueError("particle and phonon momenta need equal dimension")
         self.space_dim = self.p.shape[1]
@@ -209,25 +214,28 @@ class FockModel:
 # -- Hamiltonians ----------------------------------------------------------------
 
 
-def build_hamiltonian(model: FockModel) -> OperatorMatrix:
-    """Direct Hamiltonian: kinetic + phonon number + f-coupling."""
+def _coupled_hamiltonian(model: FockModel, coupling) -> np.ndarray:
+    """Kinetic + phonon number + sum_j sqrt(dk) c_j (a_j* Gamma(E_j) + h.c.)
+    for the coupling table c (one entry per phonon mode)."""
     h = model.gamma(model.kinetic_1p)
     h += sum(model.a(j).conj().T @ model.a(j)
              for j in range(model.n_phonon_modes))
-    for j in range(model.n_phonon_modes):
-        if model.f[j] == 0.0:
-            continue
-        coup = math.sqrt(model.dk) * model.f[j]
+    for j in np.flatnonzero(coupling):
+        coup = math.sqrt(model.dk) * coupling[j]
         block = model.a(j).conj().T @ model.gamma(model.E[j])
         h += coup * (block + block.conj().T)
-    return OperatorMatrix(h, hermitian=True)
+    return h
+
+
+def build_hamiltonian(model: FockModel) -> OperatorMatrix:
+    """Direct Hamiltonian: kinetic + phonon number + f-coupling."""
+    return OperatorMatrix(_coupled_hamiltonian(model, model.f), hermitian=True)
 
 
 def build_free_hamiltonian(model: FockModel) -> OperatorMatrix:
-    h = model.gamma(model.kinetic_1p)
-    h += sum(model.a(j).conj().T @ model.a(j)
-             for j in range(model.n_phonon_modes))
-    return OperatorMatrix(h, hermitian=True)
+    return OperatorMatrix(
+        _coupled_hamiltonian(model, np.zeros(model.n_phonon_modes)),
+        hermitian=True)
 
 
 def build_T(model: FockModel) -> OperatorMatrix:
@@ -277,14 +285,7 @@ def assemble_dressed(model: FockModel, composed_shifts: bool = True) -> dict:
     dim = model.dim
     sd = math.sqrt(model.dk)
 
-    infrared = model.gamma(model.kinetic_1p)
-    infrared += sum(model.a(j).conj().T @ model.a(j)
-                    for j in range(model.n_phonon_modes))
-    for j in range(model.n_phonon_modes):
-        if model.f_ir[j] == 0.0:
-            continue
-        block = model.a(j).conj().T @ model.gamma(model.E[j])
-        infrared += sd * model.f_ir[j] * (block + block.conj().T)
+    infrared = _coupled_hamiltonian(model, model.f_ir)
 
     pair = np.zeros((dim, dim), dtype=np.complex128)
     constant = np.zeros((dim, dim), dtype=np.complex128)
@@ -479,8 +480,8 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
     flow of the same finite-mode symbol, for a decreasing family of eps.
 
     model_factory(eps) must return models sharing the mode layout.  Returns
-    the error table err[eps][t]; the expected behaviour (asserted by the
-    caller) is monotone decrease in eps at fixed t, with no rate claim.
+    the error table err[eps][t], the final errors in decreasing eps, and
+    whether they fall with eps (BOHR_SLACK allowed; no rate claimed).
     """
     times = np.linspace(0.0, t_final, n_times)
     table = {}
@@ -499,11 +500,15 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
             modes = mode_expectations(model, psi_t)
             errs.append(float(np.linalg.norm(modes - reference[i])))
         table[eps] = errs
-    return {"times": times.tolist(), "errors": table}
+    eps_desc = sorted(table, reverse=True)
+    final = [table[eps][-1] for eps in eps_desc]
+    monotone = all(b <= BOHR_SLACK * a for a, b in zip(final, final[1:]))
+    return {"times": times.tolist(), "errors": table, "eps": eps_desc,
+            "final_errors": final, "monotone": monotone}
 
 
 def klmn_check(model: FockModel, n_samples: int = 1000, seed: int = 0,
-               sectors=(1, 2), a_cap: float = 0.9) -> dict:
+               sectors=(1, 2), a_cap: float = KLMN_A_CAP) -> dict:
     """Sampled relative form bound |<H_I>| <= a <H0> + C ||phi||^2 for the
     dressed interaction, over random states in fixed-N1 sectors.
 

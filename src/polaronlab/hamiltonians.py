@@ -14,9 +14,9 @@ products, so that i dz/dt = grad_zbar h is the Hamilton equation and
     d/dh f(z + h v) |_{h=0} = 2 Re < grad_zbar f, v >.
 
 Every analytic gradient here is certified against central finite
-differences of the corresponding functional (see the test suite); the
-dressed gradient terms are derived by hand and the finite-difference gate
-is their correctness contract.
+differences of the corresponding functional (fd_gradient_errors, run on
+each term by the test suite); the dressed gradient terms are derived by
+hand and the finite-difference gate is their correctness contract.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .spectral import (
 )
 
 _REALITY_TOL = 1e-12
+FD_STEP = 1e-5
+GRADIENT_TOL = 1e-6
 
 
 @dataclass
@@ -110,13 +112,14 @@ def h_undressed(z: PhasePoint) -> EnergyBreakdown:
 
 def grad_undressed(z: PhasePoint) -> GradientPair:
     """grad_zbar h: the right-hand sides (-Delta u + A u, alpha + f F(|u|^2))."""
+    return _with_free_part(z, grad_undressed_interaction(z))
+
+
+def _with_free_part(z: PhasePoint, gi: GradientPair) -> GradientPair:
+    """gi plus the gradient (-Delta u, alpha) of the free energy."""
     g = z.grid
-    a = g.field_real(z.alpha, g.f_inf_sym)
-    uk = g.fourier(z.u)
-    du = g.inverse(g.k_sq * uk) + a * z.u
-    w = z.u.real**2 + z.u.imag**2
-    dalpha = z.alpha + g.f_inf * g.fourier_dx(w)
-    return GradientPair(du=du, dalpha=dalpha)
+    return GradientPair(du=g.inverse(g.k_sq * g.fourier(z.u)) + gi.du,
+                        dalpha=z.alpha + gi.dalpha)
 
 
 # -- dressed --------------------------------------------------------------------
@@ -231,11 +234,7 @@ def grad_dressed_interaction(z: PhasePoint, ff: FormFactorSet) -> GradientPair:
 
 def grad_dressed(z: PhasePoint, ff: FormFactorSet) -> GradientPair:
     """grad_zbar of the full dressed Hamiltonian."""
-    g = z.grid
-    gi = grad_dressed_interaction(z, ff)
-    du = g.inverse(g.k_sq * g.fourier(z.u)) + gi.du
-    dalpha = z.alpha + gi.dalpha
-    return GradientPair(du=du, dalpha=dalpha)
+    return _with_free_part(z, grad_dressed_interaction(z, ff))
 
 
 def grad_undressed_interaction(z: PhasePoint) -> GradientPair:
@@ -244,3 +243,39 @@ def grad_undressed_interaction(z: PhasePoint) -> GradientPair:
     a = g.field_real(z.alpha, g.f_inf_sym)
     w = z.u.real**2 + z.u.imag**2
     return GradientPair(du=a * z.u, dalpha=g.f_inf * g.fourier_dx(w))
+
+
+# -- finite-difference certification --------------------------------------------
+
+
+def fd_gradient_errors(fun, grad: GradientPair, z: PhasePoint,
+                       n_directions: int, rng: np.random.Generator,
+                       h: float = FD_STEP) -> list:
+    """|fd - an| / (1 + |an|) for an = 2 Re <grad, v> and fd the central
+    difference of fun at z, along n_directions random unit v."""
+    errors = []
+    for _ in range(n_directions):
+        v = PhasePoint.random_unit(z.grid, rng)
+        fd = (fun(z.add(v, h)) - fun(z.add(v, -h))) / (2.0 * h)
+        an = 2.0 * grad.pairing(v).real
+        errors.append(abs(fd - an) / (1.0 + abs(an)))
+    return errors
+
+
+def gradient_check(z: PhasePoint, ff: FormFactorSet, n_directions: int,
+                   rng: np.random.Generator, h: float = FD_STEP) -> tuple:
+    """Finite-difference gate of grad_undressed, then grad_dressed, at z,
+    as (info, verdicts, rows)."""
+    targets = {
+        "h": (lambda zz: h_undressed(zz).total, grad_undressed(z)),
+        "hhat": (lambda zz: h_dressed(zz, ff).total, grad_dressed(z, ff)),
+    }
+    rows, worst = [], {}
+    for name, (fun, grad) in targets.items():
+        errors = fd_gradient_errors(fun, grad, z, n_directions, rng, h)
+        worst[name] = max(errors, default=0.0)
+        rows.extend({"functional": name, "direction": i, "rel_error": e}
+                    for i, e in enumerate(errors))
+    verdicts = {f"grad_{k}": v < GRADIENT_TOL for k, v in worst.items()}
+    return ({"worst": worst, "fd_step": h, "n_directions": n_directions},
+            verdicts, rows)

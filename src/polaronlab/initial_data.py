@@ -75,6 +75,13 @@ def random_smooth_state(grid: SpectralGrid, seed: int, u_amp: float = 0.5,
                       random_smooth_alpha(grid, rng, alpha_amp, k_cut))
 
 
+def random_smooth_states(grid: SpectralGrid, n_states: int, seed: int,
+                         **amplitudes):
+    """random_smooth_state for the seeds seed, seed + 1, ..., in order."""
+    return (random_smooth_state(grid, seed + i, **amplitudes)
+            for i in range(n_states))
+
+
 _U_FAMILIES = ("zero", "gaussian", "random_smooth")
 _ALPHA_FAMILIES = ("zero", "gaussian", "shell", "random_smooth")
 

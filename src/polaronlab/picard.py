@@ -14,6 +14,7 @@ contraction window in T is found by search, never asserted from theory.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,14 @@ import numpy as np
 from .diagnostics import pair_label, strichartz_pairs
 from .dynamics import EvolutionConfig, Trajectory, free_flow, lp_evolve
 from .spectral import FormFactorSet, PhasePoint, SpectralGrid
+
+# a horizon contracts when the first N_RATIOS successive-difference ratios
+# of the iteration stay at or below RATIO_TARGET
+N_RATIOS = 5
+RATIO_TARGET = 0.5
+MATCH_HORIZON = 0.1
+STRANG_GAP_TOL = 1e-6
+INTERPOLATION_TOL = 1e-10
 
 
 class PicardConvergenceError(RuntimeError):
@@ -167,23 +176,16 @@ def picard_solve(z0: PhasePoint, t_final: float, tol: float = 1e-12,
 
 
 def measure_contraction(z0: PhasePoint, t_final: float, n_nodes: int = 129,
-                        n_ratios: int = 5) -> list:
-    """First few successive-difference ratios of the iteration at horizon T."""
-    current = MeshTrajectory.from_free_flow(z0, t_final, n_nodes)
-    diffs = []
-    floor = 1e-13 * max(z0.norm(), 1e-30)
-    while len(diffs) < n_ratios + 1:
-        new = duhamel_map(current, z0)
-        d = new.sup_distance(current)
-        diffs.append(d)
-        current = new
-        if d < floor:
-            break
-    return [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
+                        n_ratios: int = N_RATIOS) -> list:
+    """First few successive-difference ratios of the iteration at horizon T
+    (fewer once it reaches roundoff)."""
+    return picard_solve(z0, t_final, tol=1e-13, n_nodes=n_nodes,
+                        max_iter=n_ratios + 1).ratios
 
 
 def find_contraction_time(z0: PhasePoint, t_start: float = 0.4,
-                          ratio_target: float = 0.5, n_ratios: int = 5,
+                          ratio_target: float = RATIO_TARGET,
+                          n_ratios: int = N_RATIOS,
                           n_nodes: int = 129, bisect_steps: int = 8) -> float:
     """Largest horizon (up to bisection resolution) on which the first
     n_ratios successive-iterate ratios all stay below ratio_target."""
@@ -215,15 +217,40 @@ def picard_vs_strang(z0: PhasePoint, t_final: float, ff: FormFactorSet,
                      max_iter: int = 60) -> float:
     """Endpoint distance between the fixed point and the Strang integrator.
 
-    Raises PicardConvergenceError when the iteration stops short of its
-    tolerance: an unconverged iterate measures nothing about the flow.
+    The Strang step is t_final / max(1, round(t_final / dt)).  Raises
+    PicardConvergenceError when the iteration stops short of its tolerance:
+    an unconverged iterate measures nothing about the flow.
     """
     res = picard_solve(z0, t_final, n_nodes=n_nodes, max_iter=max_iter)
     if not res.converged:
         raise PicardConvergenceError(res.iterations, res.diffs[-1])
-    cfg = EvolutionConfig(dt=dt, t_final=t_final, record_every=10**9)
+    n_steps = max(1, int(round(t_final / dt)))
+    cfg = EvolutionConfig(dt=t_final / n_steps, t_final=t_final,
+                          record_every=10**9)
     traj: Trajectory = lp_evolve(z0, cfg, ff, collect=False)
     return res.trajectory.endpoint().distance(traj.final())
+
+
+def contraction_check(z0: PhasePoint, ff: FormFactorSet, t_start: float,
+                      n_nodes: int, match_nodes: int, dt: float,
+                      bisect_steps: int = 8) -> tuple:
+    """Contraction horizon T (searched from t_start), the first ratios of
+    the iteration at T, and the picard_vs_strang gap on min(T,
+    MATCH_HORIZON), as (info, verdicts, rows)."""
+    t_c = find_contraction_time(z0, t_start=t_start, n_nodes=n_nodes,
+                                bisect_steps=bisect_steps)
+    ratios = measure_contraction(z0, t_c, n_nodes=n_nodes)
+    t_match = min(t_c, MATCH_HORIZON)
+    gap = picard_vs_strang(z0, t_match, ff, n_nodes=match_nodes, dt=dt)
+    info = {"contraction_time": t_c, "ratios": ratios,
+            "endpoint_gap": gap, "match_horizon": t_match}
+    verdicts = {
+        "contracting": len(ratios) >= N_RATIOS
+        and all(r <= RATIO_TARGET for r in ratios[:N_RATIOS]),
+        "matches_strang": gap < STRANG_GAP_TOL,
+    }
+    rows = [{"n": i + 1, "ratio": r} for i, r in enumerate(ratios)]
+    return info, verdicts, rows
 
 
 # -- space-time norms --------------------------------------------------------------
@@ -264,3 +291,13 @@ def interpolation_residual(grid: SpectralGrid, u: np.ndarray) -> float:
     lhs = grid.lq_norm_x(u, q_mid)
     rhs = grid.lq_norm_x(u, 2.0) ** 0.75 * grid.lq_norm_x(u, q_hi) ** 0.25
     return rhs - lhs
+
+
+def interpolation_residuals(states) -> tuple:
+    """interpolation_residual of the electron fields of states, as (info,
+    verdicts, rows); no states give the smallest residual inf."""
+    rows = [{"state": i, "residual": interpolation_residual(z.grid, z.u)}
+            for i, z in enumerate(states)]
+    worst = min((r["residual"] for r in rows), default=math.inf)
+    return ({"worst_residual": worst},
+            {"interpolation_nonnegative": worst >= -INTERPOLATION_TOL}, rows)

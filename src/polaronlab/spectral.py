@@ -302,6 +302,16 @@ class PhasePoint:
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128),
                    np.zeros(grid.shape, dtype=np.complex128), check=False)
 
+    @classmethod
+    def random_unit(cls, grid: SpectralGrid,
+                    rng: np.random.Generator) -> "PhasePoint":
+        """Unit tangent direction with standard normal entries, drawn in the
+        order u.real, u.imag, alpha.real, alpha.imag."""
+        u, alpha = (rng.standard_normal(grid.shape)
+                    + 1j * rng.standard_normal(grid.shape) for _ in range(2))
+        v = cls(grid, u, alpha, check=False)
+        return v.scaled(1.0 / v.norm())
+
     def copy(self) -> "PhasePoint":
         return PhasePoint(self.grid, self.u.copy(), self.alpha.copy(), check=False)
 

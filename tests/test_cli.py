@@ -1,6 +1,5 @@
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,8 +49,12 @@ class TestConfig:
 
     def test_unknown_scenario(self, tmp_path):
         path = write_config(tmp_path, "[scenario]\nname = warpdrive\n")
-        with pytest.raises(ConfigError, match="warpdrive"):
+        with pytest.raises(ConfigError, match="warpdrive.*free, lp, "):
             load_config(path)
+
+    def test_unknown_scenario_override(self, tmp_path):
+        with pytest.raises(ConfigError, match="warpdrive.*fock_klmn"):
+            run_body(tmp_path, MINI.format(name="lp"), name="warpdrive")
 
     def test_bad_value(self, tmp_path):
         path = write_config(tmp_path, "[grid]\nn = often\n")
@@ -67,9 +70,7 @@ class TestRun:
     def test_minimal_free_zero_config(self, tmp_path):
         body = MINI.format(name="free") + \
             "\n[initial]\nu_family = zero\nalpha_family = zero\n"
-        cfg = load_config(write_config(tmp_path, body))
-        summary = run_scenario(cfg, tmp_path / "out")
-        assert summary["passed"]
+        assert run_body(tmp_path, body)["passed"]
         csv = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert csv[0] == "# schema=1"
         for line in csv[2:]:
@@ -121,32 +122,61 @@ class TestRun:
         assert summary["scenario"] == "free"
 
 
+SMOOTH = ("[initial]\nu_family = random_smooth\n"
+          "alpha_family = random_smooth\nu_amp = {}\nalpha_amp = {}\n"
+          "k_cut = {}\n")
+FOCK = "[scenario]\nname = {}\n[fock]\nn_max_particles = {n}\n" \
+    "n_max_phonons = {n}\nklmn_samples = 100\n"
+
+# tiny configs of the scenarios that no other test runs, with their series
+TINY = {
+    "dressed": (MINI.format(name="dressed"), "trajectory.csv"),
+    "energy_order": (MINI.format(name="energy_order")
+                     + SMOOTH.format(0.5, 0.3, 0.5), "energy_order.csv"),
+    "conjugation": ("[grid]\nn = 16\nlength = 16.0\n[scenario]\n"
+                    "name = conjugation\nt_sample = 0.2\n"
+                    "dt_levels = 2e-2,1e-2,5e-3\n"
+                    + SMOOTH.format(0.4, 0.25, 0.35), "conjugation.csv"),
+    "picard": (MINI.format(name="picard") + "picard_nodes = 129\n"
+               + SMOOTH.format(0.2, 0.12, 0.5), "picard.csv"),
+    "fock_lemma": (FOCK.format("fock_lemma", n=2), "fock_lemma.csv"),
+    "fock_correspondence": (FOCK.format("fock_correspondence", n=4),
+                            "correspondence.csv"),
+    "fock_klmn": (FOCK.format("fock_klmn", n=2), "fock_klmn.csv"),
+}
+
+
+def run_body(tmp_path, body, **scenario):
+    cfg = load_config(write_config(tmp_path, body))
+    cfg["scenario"].update(scenario)
+    return run_scenario(cfg, tmp_path / "out")
+
+
 class TestScenarios:
     def test_gradient_check_scenario(self, tmp_path):
-        body = MINI.format(name="gradient_check") + \
-            "\n[initial]\nu_family = random_smooth\n" \
-            "alpha_family = random_smooth\nk_cut = 0.6\n"
-        cfg = load_config(write_config(tmp_path, body))
-        cfg["scenario"]["n_directions"] = 10
-        summary = run_scenario(cfg, tmp_path / "out")
-        assert summary["passed"]
+        body = MINI.format(name="gradient_check")
+        body += SMOOTH.format(0.5, 0.3, 0.6)
+        assert run_body(tmp_path, body, n_directions=10)["passed"]
 
     def test_dressed_identity_scenario(self, tmp_path):
-        cfg = load_config(write_config(
-            tmp_path, "[grid]\nn = 16\nlength = 16.0\n"
-                      "[scenario]\nname = dressed_identity\nn_states = 5\n"))
-        summary = run_scenario(cfg, tmp_path / "out")
-        assert summary["passed"]
+        assert run_body(tmp_path, "[grid]\nn = 16\nlength = 16.0\n"
+                        "[scenario]\nname = dressed_identity\n"
+                        "n_states = 5\n")["passed"]
         csv = (tmp_path / "out" / "dressed_identity.csv").read_text()
         assert csv.count("\n") == 5 + 2
 
     def test_strichartz_scenario(self, tmp_path):
-        body = MINI.format(name="strichartz")
-        cfg = load_config(write_config(tmp_path, body))
-        cfg["scenario"]["n_states"] = 10
-        summary = run_scenario(cfg, tmp_path / "out")
-        assert summary["passed"]
+        assert run_body(tmp_path, MINI.format(name="strichartz"),
+                        n_states=10)["passed"]
         assert (tmp_path / "out" / "interpolation.csv").exists()
+
+    @pytest.mark.parametrize("name", list(TINY))
+    def test_tiny_scenario(self, tmp_path, name):
+        body, csv = TINY[name]
+        summary = run_body(tmp_path, body)
+        assert summary["scenario"] == name and summary["passed"]
+        lines = (tmp_path / "out" / csv).read_text().splitlines()
+        assert lines[0] == "# schema=1" and len(lines) > 2
 
 
 class TestInitialData:

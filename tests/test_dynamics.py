@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polaronlab.diagnostics import diagnostics_row
+from polaronlab.diagnostics import diagnostics_row, max_relative_drift
 from polaronlab.dynamics import (
     BlowUpError,
     EvolutionConfig,
@@ -23,7 +23,6 @@ from polaronlab.hamiltonians import (
     grad_dressed_interaction,
     h_dressed,
 )
-from polaronlab.initial_data import random_smooth_state
 from polaronlab.spectral import PhasePoint
 
 
@@ -79,11 +78,8 @@ class TestLandauPekar:
             cfg = EvolutionConfig(dt=dt, t_final=0.5, record_every=10**6)
             ends.append(lp_evolve(smooth_state, cfg, ff16,
                                   collect=False).final())
-        e1 = ends[0].distance(ends[2])
-        e2 = ends[1].distance(ends[2])
-        # against the dt/4 reference the observed ratio is (4x error) /
-        # (1x error) of second order minus the shared remainder: ~ 4.8-5;
-        # use endpoint Cauchy ratio between consecutive halvings instead
+        # errors against a dt/8 reference, so that the reference's own
+        # error does not bias the ratio of two consecutive halvings
         cfg = EvolutionConfig(dt=1.25e-3, t_final=0.5, record_every=10**6)
         ref = lp_evolve(smooth_state, cfg, ff16, collect=False).final()
         errs = [z.distance(ref) for z in ends]
@@ -93,9 +89,7 @@ class TestLandauPekar:
     def test_mass_conserved_to_roundoff(self, grid16, ff16, smooth_state):
         cfg = EvolutionConfig(dt=1e-3, t_final=0.2, record_every=50)
         traj = lp_evolve(smooth_state, cfg, ff16)
-        masses = [r.mass for r in traj.rows]
-        drift = max(abs(m - masses[0]) for m in masses) / (1 + masses[0])
-        assert drift < 1e-12
+        assert max_relative_drift([r.mass for r in traj.rows]) < 1e-12
 
     def test_reversibility(self, smooth_state):
         back = lp_step(lp_step(smooth_state, 1e-3), -1e-3)
@@ -106,9 +100,7 @@ class TestLandauPekar:
         for dt in (4e-3, 2e-3):
             cfg = EvolutionConfig(dt=dt, t_final=0.4, record_every=20)
             traj = lp_evolve(smooth_state, cfg, ff16)
-            vals = [r.h.total for r in traj.rows]
-            drifts.append(max(abs(v - vals[0]) for v in vals)
-                          / (1 + abs(vals[0])))
+            drifts.append(max_relative_drift([r.h.total for r in traj.rows]))
         assert 3.0 <= drifts[0] / drifts[1] <= 5.0
 
     def test_rk4_scheme_agrees(self, grid16, ff16, smooth_state):
@@ -151,9 +143,7 @@ class TestDressedFlow:
     def test_mass_conserved(self, grid16, ff16, smooth_state):
         cfg = EvolutionConfig(dt=1e-3, t_final=0.2, record_every=100)
         traj = dressed_evolve(smooth_state, cfg, ff16)
-        masses = [r.mass for r in traj.rows]
-        drift = max(abs(m - masses[0]) for m in masses) / (1 + masses[0])
-        assert drift < 1e-10
+        assert max_relative_drift([r.mass for r in traj.rows]) < 1e-10
 
     def test_reversibility(self, ff16, smooth_state):
         back = dressed_step(dressed_step(smooth_state, 1e-3, ff16),

@@ -1,10 +1,11 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from polaronlab.fock import (
+    BOHR_SLACK,
+    KLMN_A_CAP,
     FockModel,
     OperatorMatrix,
     Propagator,
@@ -25,12 +26,17 @@ from polaronlab.fock import (
 )
 
 
+def chain(eps=0.5, n_max=4, dk=0.5) -> FockModel:
+    """3 particle modes on a momentum chain, 2 phonon modes."""
+    return FockModel(particle_momenta=[0.0, 1.0, 2.0],
+                     phonon_momenta=[1.0, 2.0], dk=dk, eps=eps,
+                     n_max_particles=n_max, n_max_phonons=n_max, sigma0=1.5)
+
+
 @pytest.fixture(scope="module")
 def toy():
-    """3 particle modes on a momentum chain, 2 phonon modes, small cutoffs."""
-    return FockModel(particle_momenta=[0.0, 1.0, 2.0],
-                     phonon_momenta=[1.0, 2.0], dk=0.5, eps=0.5,
-                     n_max_particles=4, n_max_phonons=4, sigma0=1.5)
+    """The chain with small cutoffs."""
+    return chain()
 
 
 class TestModel:
@@ -150,9 +156,7 @@ class TestDressing:
         assert np.linalg.norm(u @ u.conj().T - np.eye(toy.dim)) < 1e-10
 
     def test_restricted_expansion_matches(self):
-        model = FockModel(particle_momenta=[0.0, 1.0, 2.0],
-                          phonon_momenta=[1.0, 2.0], dk=1e-6, eps=0.5,
-                          n_max_particles=4, n_max_phonons=4, sigma0=1.5)
+        model = chain(dk=1e-6)
         rep = dressed_comparison(model)
         assert rep["restricted_diff_norm"] < 1e-6
         # the comparison is not vacuous: first-order dressed structure is
@@ -298,15 +302,22 @@ class TestCorrespondence:
                    for i in range(len(times)))
 
     def test_error_decreases_with_eps(self):
-        def factory(eps):
-            return FockModel(particle_momenta=[0.0, 1.0, 2.0],
-                             phonon_momenta=[1.0, 2.0], dk=0.5, eps=eps,
-                             n_max_particles=5, n_max_phonons=5, sigma0=1.5)
-
-        res = correspondence_experiment(factory, [0.5, 0.25], [0.2, 0.1, 0.0],
+        res = correspondence_experiment(lambda eps: chain(eps, n_max=5),
+                                        [0.25, 0.5], [0.2, 0.1, 0.0],
                                         [0.15, 0.1], 0.5, n_times=3)
-        final = [res["errors"][e][-1] for e in (0.5, 0.25)]
-        assert final[1] <= 1.1 * final[0]
+        assert res["eps"] == [0.5, 0.25]
+        assert res["final_errors"] == [res["errors"][e][-1]
+                                       for e in (0.5, 0.25)]
+        assert res["monotone"]
+
+    def test_monotone_verdict_can_fail(self):
+        # at occupancy cutoff 3 the eps = 0.125 coherent state leans on the
+        # truncation edge and its error grows again
+        res = correspondence_experiment(lambda eps: chain(eps, n_max=3),
+                                        [0.5, 0.25, 0.125], [0.25, 0.15, 0.0],
+                                        [0.2, 0.1], 0.5, n_times=6)
+        final = res["final_errors"]
+        assert final[2] > BOHR_SLACK * final[1] and not res["monotone"]
 
 
 class TestKLMN:
@@ -321,5 +332,5 @@ class TestKLMN:
     def test_form_bound_exists(self, toy):
         rep = klmn_check(toy, n_samples=200, seed=9)
         assert rep["satisfied"]
-        assert rep["a"] <= 0.9
+        assert rep["a"] <= KLMN_A_CAP
         assert rep["norm_kB_sq"] <= 1.0 / (toy.eps * toy.n_max_particles)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from polaronlab.dynamics import EvolutionConfig, free_flow, lp_evolve
-from polaronlab.initial_data import random_smooth_state
+from polaronlab.initial_data import random_smooth_state, random_smooth_states
 from polaronlab.picard import (
     MeshTrajectory,
     PicardConvergenceError,
     PicardDivergenceError,
+    contraction_check,
     duhamel_map,
     find_contraction_time,
     interpolation_residual,
+    interpolation_residuals,
     measure_contraction,
     picard_solve,
     picard_vs_strang,
@@ -104,6 +106,24 @@ class TestPicardSolve:
                              max_iter=1)
         assert err.value.iterations == 1
 
+    def test_contraction_check_off_grid_horizon(self, ff16, small_state):
+        # every horizon from t_start contracts, so two bisection steps end
+        # at 1.75 t_start: below the match cap and 210.7 Strang steps of dt
+        info, verdicts, rows = contraction_check(
+            small_state, ff16, t_start=0.0301, n_nodes=65, match_nodes=401,
+            dt=2.5e-4, bisect_steps=2)
+        assert info["match_horizon"] == info["contraction_time"] \
+            == pytest.approx(1.75 * 0.0301, rel=1e-12)
+        assert verdicts == {"contracting": True, "matches_strang": True}
+        assert [r["ratio"] for r in rows] == info["ratios"]
+
+    def test_contraction_verdict_can_fail(self, ff16, small_state):
+        # one mesh step cannot resolve the Duhamel integral
+        info, verdicts, _ = contraction_check(
+            small_state, ff16, t_start=0.4, n_nodes=65, match_nodes=2,
+            dt=1e-2, bisect_steps=1)
+        assert not verdicts["matches_strang"] and info["endpoint_gap"] > 1e-6
+
     def test_divergence_abort(self, grid16):
         big = random_smooth_state(grid16, seed=2, u_amp=40.0, alpha_amp=25.0,
                                   k_cut=0.5)
@@ -152,13 +172,12 @@ class TestStrichartz:
         rep = strichartz_report(traj)
         assert rep == {"applicable": False, "dimension": 1}
 
-    def test_interpolation_residual_nonnegative(self, grid16, rng):
-        worst = np.inf
-        for i in range(100):
-            z = random_smooth_state(grid16, seed=500 + i, u_amp=1.5,
-                                    alpha_amp=0.0, k_cut=1.0)
-            worst = min(worst, interpolation_residual(grid16, z.u))
-        assert worst >= -1e-10
+    def test_interpolation_residual_nonnegative(self, grid16):
+        info, verdicts, rows = interpolation_residuals(random_smooth_states(
+            grid16, 100, seed=500, u_amp=1.5, alpha_amp=0.0, k_cut=1.0))
+        assert len(rows) == 100
+        assert verdicts["interpolation_nonnegative"]
+        assert info["worst_residual"] == min(r["residual"] for r in rows)
 
     def test_interpolation_rejects_low_dimension(self):
         g = build_grid(2, 8, 10.0)
