@@ -10,9 +10,15 @@ which is compared term by term against the dressed expansion (infrared
 coupling, pair potential, quadratic field term, drift term, and the
 number-weighted constant).
 
-Everything is dense linear algebra; model sizes are capped so correctness,
-not scale, is the product.  Operator identities are asserted away from the
-occupancy-truncation edge (sub-basis with total occupancy <= n_max/2).
+Operators are scipy.sparse arrays built from the sparse ladder operators.
+H and T conserve particle number and total momentum, so they are block
+diagonal on the occupation basis: the conjugation and the propagator run
+one eigendecomposition per connected block of the operator's nonzero
+pattern, read from the matrix itself (a matrix without structure is one
+block).  An OperatorMatrix is where an operator becomes dense.  Model sizes
+are capped so correctness, not scale, is the product.  Operator identities
+are asserted away from the occupancy-truncation edge (sub-basis with total
+occupancy <= n_max/2).
 """
 
 from __future__ import annotations
@@ -23,7 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import expm_multiply
 
 from .spectral import form_factor_f, gross_generator_b
 
@@ -33,9 +42,15 @@ KLMN_A_CAP = 0.9
 BOHR_SLACK = 1.1
 
 
+def _frobenius(m) -> float:
+    """Frobenius norm of a dense or sparse matrix (of its stored entries)."""
+    return float(np.linalg.norm(m.data if sparse.issparse(m) else m))
+
+
 @dataclass
 class OperatorMatrix:
-    """Dense operator with an optional certified-hermitian flag."""
+    """Dense operator with an optional certified-hermitian flag (a sparse
+    matrix is densified here)."""
 
     matrix: np.ndarray
     hermitian: bool = False
@@ -45,9 +60,11 @@ class OperatorMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
         if self.hermitian:
-            defect = np.linalg.norm(m - m.conj().T)
-            if defect > HERMITICITY_TOL * (1.0 + np.linalg.norm(m)):
+            defect = _frobenius(m - m.conj().T)
+            if defect > HERMITICITY_TOL * (1.0 + _frobenius(m)):
                 raise AssertionError(f"hermiticity defect {defect:.3e}")
+        if sparse.issparse(m):
+            self.matrix = m.toarray()
 
     @property
     def dim(self) -> int:
@@ -65,6 +82,25 @@ def _sector_tuples(n_modes: int, n_max: int):
                 occ[c] += 1
             out.append(tuple(occ))
     return sorted(out)
+
+
+def _lowering_operators(occupancy: np.ndarray, eps: float) -> list:
+    """Sparse a_m|n> = sqrt(eps n_m)|n - e_m> for every mode m.
+
+    The basis is sorted lexicographically, so the mixed-radix keys of its
+    occupation tuples increase and searchsorted finds each target state
+    (lowering never leaves the basis)."""
+    dim, n_modes = occupancy.shape
+    radix = int(occupancy.max(initial=0)) + 1
+    weights = radix ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
+    keys = occupancy @ weights
+    out = []
+    for m in range(n_modes):
+        cols = np.flatnonzero(occupancy[:, m])
+        rows = np.searchsorted(keys, keys[cols] - weights[m])
+        vals = np.sqrt(eps * occupancy[cols, m]).astype(np.complex128)
+        out.append(sparse.csr_array((vals, (rows, cols)), shape=(dim, dim)))
+    return out
 
 
 def _momentum_table(momenta) -> np.ndarray:
@@ -123,8 +159,8 @@ class FockModel:
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.occupancy = np.asarray(self.basis, dtype=np.int64)
 
-        n_modes = self.n_particle_modes + self.n_phonon_modes
-        self._lower = [self._build_lowering(m) for m in range(n_modes)]
+        self._lower = _lowering_operators(self.occupancy, self.eps)
+        self._raise = [low.conj().T.tocsr() for low in self._lower]
 
         # one-particle matrices on the particle mode space
         self.kinetic_1p = np.diag(
@@ -135,18 +171,6 @@ class FockModel:
                        for j in range(self.n_phonon_modes))
 
     # -- construction helpers ------------------------------------------------
-
-    def _build_lowering(self, mode: int) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for col, occ in enumerate(self.basis):
-            n = occ[mode]
-            if n == 0:
-                continue
-            target = list(occ)
-            target[mode] = n - 1
-            row = self.index[tuple(target)]
-            a[row, col] = math.sqrt(self.eps * n)
-        return a
 
     def _build_shift(self, kvec: np.ndarray) -> np.ndarray:
         """Compressed one-particle matrix of multiplication by e^{-ik.x}:
@@ -163,45 +187,40 @@ class FockModel:
 
     # -- ladder accessors -----------------------------------------------------
 
-    def psi(self, m: int) -> np.ndarray:
+    def psi(self, m: int) -> sparse.csr_array:
         return self._lower[m]
 
-    def a(self, j: int) -> np.ndarray:
+    def a(self, j: int) -> sparse.csr_array:
         return self._lower[self.n_particle_modes + j]
 
-    def number_operator(self, sector: str) -> np.ndarray:
+    def adag(self, j: int) -> sparse.csr_array:
+        return self._raise[self.n_particle_modes + j]
+
+    def sector_totals(self) -> tuple:
+        """Total particle and phonon occupancy of every basis state."""
+        mp = self.n_particle_modes
+        return (self.occupancy[:, :mp].sum(axis=1),
+                self.occupancy[:, mp:].sum(axis=1))
+
+    def number_operator(self, sector: str) -> sparse.csr_array:
         """Diagonal N1 or N2 with spectrum eps * occupancy."""
+        n1, n2 = self.sector_totals()
         if sector == "particles":
-            tot = self.occupancy[:, : self.n_particle_modes].sum(axis=1)
+            tot = n1
         elif sector == "phonons":
-            tot = self.occupancy[:, self.n_particle_modes:].sum(axis=1)
+            tot = n2
         else:
             raise ValueError("sector must be 'particles' or 'phonons'")
-        return np.diag(self.eps * tot).astype(np.complex128)
+        return sparse.diags_array((self.eps * tot).astype(np.complex128),
+                                  format="csr")
 
-    def gamma(self, m_1p: np.ndarray) -> np.ndarray:
+    def gamma(self, m_1p: np.ndarray) -> sparse.csr_array:
         """Second quantization sum_ij M_ij psi_i* psi_j of a one-particle
-        matrix (restriction to n particles equals eps * sum_j M at particle j)."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        mp = self.n_particle_modes
-        for col, occ in enumerate(self.basis):
-            for j in range(mp):
-                nj = occ[j]
-                if nj == 0:
-                    continue
-                for i in range(mp):
-                    mij = m_1p[i, j]
-                    if mij == 0:
-                        continue
-                    target = list(occ)
-                    target[j] = nj - 1
-                    ni = target[i]
-                    target[i] = ni + 1
-                    row = self.index.get(tuple(target))
-                    if row is None:
-                        continue
-                    out[row, col] += mij * self.eps * math.sqrt(
-                        nj * (ni + 1))
+        matrix (restriction to n particles equals eps * sum_j M at particle j).
+        Exact on the truncated basis: a hop keeps the particle number."""
+        out = sparse.csr_array((self.dim, self.dim), dtype=np.complex128)
+        for i, j in zip(*np.nonzero(m_1p)):
+            out = out + m_1p[i, j] * (self._raise[i] @ self._lower[j])
         return out
 
     def total_occupancy(self) -> np.ndarray:
@@ -214,16 +233,16 @@ class FockModel:
 # -- Hamiltonians ----------------------------------------------------------------
 
 
-def _coupled_hamiltonian(model: FockModel, coupling) -> np.ndarray:
+def _coupled_hamiltonian(model: FockModel, coupling) -> sparse.csr_array:
     """Kinetic + phonon number + sum_j sqrt(dk) c_j (a_j* Gamma(E_j) + h.c.)
     for the coupling table c (one entry per phonon mode)."""
     h = model.gamma(model.kinetic_1p)
-    h += sum(model.a(j).conj().T @ model.a(j)
-             for j in range(model.n_phonon_modes))
+    h = h + sum(model.adag(j) @ model.a(j)
+                for j in range(model.n_phonon_modes))
     for j in np.flatnonzero(coupling):
         coup = math.sqrt(model.dk) * coupling[j]
-        block = model.a(j).conj().T @ model.gamma(model.E[j])
-        h += coup * (block + block.conj().T)
+        block = model.adag(j) @ model.gamma(model.E[j])
+        h = h + coup * (block + block.conj().T)
     return h
 
 
@@ -240,14 +259,31 @@ def build_free_hamiltonian(model: FockModel) -> OperatorMatrix:
 
 def build_T(model: FockModel) -> OperatorMatrix:
     """Gross-transform generator sum_k sqrt(dk) B_k (i a_k* Gamma(E_k) + h.c.)."""
-    t = np.zeros((model.dim, model.dim), dtype=np.complex128)
-    for j in range(model.n_phonon_modes):
-        if model.B[j] == 0.0:
-            continue
+    t = sparse.csr_array((model.dim, model.dim), dtype=np.complex128)
+    for j in np.flatnonzero(model.B):
         coup = math.sqrt(model.dk) * model.B[j]
-        block = 1j * model.a(j).conj().T @ model.gamma(model.E[j])
-        t += coup * (block + block.conj().T)
+        block = 1j * model.adag(j) @ model.gamma(model.E[j])
+        t = t + coup * (block + block.conj().T)
     return OperatorMatrix(t, hermitian=True)
+
+
+def _blocks(*matrices) -> list:
+    """Index sets (each sorted) of the connected components of the union of
+    the matrices' nonzero patterns: every matrix is block diagonal on them,
+    and an entry of any size joins its row and column into one block."""
+    pattern = sparse.csr_array(np.logical_or.reduce(
+        [m != 0 for m in matrices]))
+    _, labels = connected_components(pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
+def _block_diagonal(blocks, parts, dim: int) -> sparse.csr_array:
+    """The dim x dim matrix holding parts[b] on rows and columns blocks[b]."""
+    rows = np.concatenate([np.repeat(idx, idx.size) for idx in blocks])
+    cols = np.concatenate([np.tile(idx, idx.size) for idx in blocks])
+    data = np.concatenate([part.ravel() for part in parts])
+    return sparse.csr_array((data, (rows, cols)), shape=(dim, dim))
 
 
 def unitary_from_generator(generator: np.ndarray, scale: float) -> np.ndarray:
@@ -260,16 +296,22 @@ def unitary_from_generator(generator: np.ndarray, scale: float) -> np.ndarray:
 
 def dress_hamiltonian(model: FockModel, h: OperatorMatrix,
                       t: OperatorMatrix) -> OperatorMatrix:
-    """U H U* with U = exp(i T / eps)."""
-    u = unitary_from_generator(t.matrix, 1.0 / model.eps)
-    dressed = u @ h.matrix @ u.conj().T
-    return OperatorMatrix(dressed, hermitian=True)
+    """U H U* with U = exp(i T / eps), built on each block of |H| + |T|
+    (U H U* vanishes outside them)."""
+    blocks = _blocks(h.matrix, t.matrix)
+    parts = []
+    for idx in blocks:
+        sub = np.ix_(idx, idx)
+        u = unitary_from_generator(t.matrix[sub], 1.0 / model.eps)
+        parts.append(u @ h.matrix[sub] @ u.conj().T)
+    return OperatorMatrix(_block_diagonal(blocks, parts, h.dim),
+                          hermitian=True)
 
 
-def assemble_dressed(model: FockModel, composed_shifts: bool = True) -> dict:
+def assemble_dressed(model: FockModel) -> dict:
     """Term-by-term finite-mode assembly of the dressed expansion.
 
-    Returns the named summands and their sum under key "total":
+    Returns the named summands (sparse) and their sum under key "total":
       - "infrared": H_{sigma0},
       - "pair": the normal-ordered pair-potential two-body operator,
       - "quadratic": the a#(kB)^2 and 2 a* a block,
@@ -278,53 +320,43 @@ def assemble_dressed(model: FockModel, composed_shifts: bool = True) -> dict:
         operator form sum_k dk s(k) eps Gamma(E_k* E_k) (the scalar
         eps^2 n <B, B+2f> is its restriction to fully shiftable modes).
 
-    With composed_shifts the e^{-ikx} factors multiply as the compressed
-    matrices they are in the model; this is the convention under which the
-    conjugation identity holds up to truncation-edge effects.
+    The e^{-ikx} factors multiply as the compressed matrices they are in the
+    model; this is the convention under which the conjugation identity holds
+    up to truncation-edge effects.
     """
-    dim = model.dim
     sd = math.sqrt(model.dk)
+    zero = sparse.csr_array((model.dim, model.dim), dtype=np.complex128)
 
     infrared = _coupled_hamiltonian(model, model.f_ir)
 
-    pair = np.zeros((dim, dim), dtype=np.complex128)
-    constant = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(model.n_phonon_modes):
+    pair = constant = zero
+    for j in np.flatnonzero(model.pair_symbol):
         s = model.pair_symbol[j]
-        if s == 0.0:
-            continue
         ge = model.gamma(model.E[j])
         gee = model.gamma(model.E[j].conj().T @ model.E[j])
-        pair += model.dk * s * (ge.conj().T @ ge - model.eps * gee)
-        constant += model.dk * s * model.eps * gee
+        pair = pair + model.dk * s * (ge.conj().T @ ge - model.eps * gee)
+        constant = constant + model.dk * s * model.eps * gee
 
-    quadratic = np.zeros((dim, dim), dtype=np.complex128)
+    quadratic = zero
     for j in range(model.n_phonon_modes):
         for l in range(model.n_phonon_modes):
             kdot = float(model.k[j] @ model.k[l])
             w = model.dk * kdot * model.B[j] * model.B[l]
             if w == 0.0:
                 continue
-            if composed_shifts:
-                e_jl = model.E[j] @ model.E[l]
-                e_jl_mix = model.E[j] @ model.E[l].conj().T
-            else:
-                e_jl = model._build_shift(model.k[j] + model.k[l])
-                e_jl_mix = model._build_shift(model.k[j] - model.k[l])
-            creation = (model.a(j).conj().T @ model.a(l).conj().T
-                        @ model.gamma(e_jl))
-            quadratic += w * (creation + creation.conj().T)
-            quadratic += 2.0 * w * (model.a(j).conj().T @ model.a(l)
-                                    @ model.gamma(e_jl_mix))
+            e_jl = model.E[j] @ model.E[l]
+            e_jl_mix = model.E[j] @ model.E[l].conj().T
+            creation = model.adag(j) @ model.adag(l) @ model.gamma(e_jl)
+            quadratic = quadratic + w * (creation + creation.conj().T)
+            quadratic = quadratic + 2.0 * w * (
+                model.adag(j) @ model.a(l) @ model.gamma(e_jl_mix))
 
-    drift = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(model.n_phonon_modes):
-        if model.B[j] == 0.0:
-            continue
+    drift = zero
+    for j in np.flatnonzero(model.B):
         kd = sum(model.k[j][ax] * model.D_1p[ax]
                  for ax in range(model.space_dim))
-        block = model.a(j).conj().T @ model.gamma(model.E[j] @ kd)
-        drift += -2.0 * sd * model.B[j] * (block + block.conj().T)
+        block = model.adag(j) @ model.gamma(model.E[j] @ kd)
+        drift = drift - 2.0 * sd * model.B[j] * (block + block.conj().T)
 
     total = infrared + pair + quadratic + drift + constant
     return {"infrared": infrared, "pair": pair, "quadratic": quadratic,
@@ -338,14 +370,16 @@ def dressed_comparison(model: FockModel, n_cut: int | None = None) -> dict:
     t = build_T(model)
     conj = dress_hamiltonian(model, h, t)
     parts = assemble_dressed(model)
+    assembled = OperatorMatrix(parts["total"], hermitian=True)
     if n_cut is None:
         n_cut = min(model.n_max_particles, model.n_max_phonons) // 2
     sel = model.low_occupancy_indices(n_cut)
-    diff = conj.matrix[np.ix_(sel, sel)] - parts["total"][np.ix_(sel, sel)]
-    scale = np.linalg.norm(conj.matrix[np.ix_(sel, sel)], 2)
+    block = np.ix_(sel, sel)
+    diff = conj.matrix[block] - assembled.matrix[block]
+    scale = np.linalg.norm(conj.matrix[block], 2)
     return {
         "conjugated": conj,
-        "assembled": OperatorMatrix(parts["total"], hermitian=True),
+        "assembled": assembled,
         "parts": parts,
         "restricted_diff_norm": float(np.linalg.norm(diff, 2)),
         "restricted_scale": float(scale),
@@ -384,14 +418,12 @@ def coherent_state(model: FockModel, particle_amps,
                 f"{name} amplitude too large for the truncation: "
                 f"|z|^2/eps = {norm2 / model.eps:.3f} > n_max/3 = "
                 f"{n_max / 3.0:.3f}")
-    gen = np.zeros((model.dim, model.dim), dtype=np.complex128)
-    amps = np.concatenate([phi, alp])
-    for m, zm in enumerate(amps):
+    gen = sparse.csr_array((model.dim, model.dim), dtype=np.complex128)
+    for zm, low, up in zip(np.concatenate([phi, alp]), model._lower,
+                           model._raise):
         if zm != 0:
-            gen += zm * model._lower[m].conj().T - np.conj(zm) * model._lower[m]
-    # gen is anti-hermitian; exp(gen) = exp(-i (i gen)) with i gen hermitian
-    u = unitary_from_generator(1j * gen, -1.0 / model.eps)
-    return u @ vacuum(model)
+            gen = gen + (zm * up - np.conj(zm) * low)
+    return expm_multiply(gen / model.eps, vacuum(model))
 
 
 def weyl_operator(model: FockModel, mode_amps) -> np.ndarray:
@@ -400,10 +432,10 @@ def weyl_operator(model: FockModel, mode_amps) -> np.ndarray:
     f = np.asarray(mode_amps, dtype=np.complex128)
     af = sum(np.conj(fm) * model._lower[m] for m, fm in enumerate(f))
     phi_f = (af + af.conj().T) / math.sqrt(2.0)
-    return unitary_from_generator(phi_f, 1.0)
+    return unitary_from_generator(phi_f.toarray(), 1.0)
 
 
-def expect(op: np.ndarray, state: np.ndarray) -> complex:
+def expect(op, state: np.ndarray) -> complex:
     return complex(np.vdot(state, op @ state))
 
 
@@ -416,14 +448,24 @@ def mode_expectations(model: FockModel, state: np.ndarray) -> np.ndarray:
 
 
 class Propagator:
-    """exp(-i t H / eps) applied through one eigendecomposition."""
+    """exp(-i t H / eps) applied through one eigendecomposition per block of
+    H; the block eigenvectors form one sparse block-diagonal matrix, whose
+    column idx[k] holds eigenvector k of the block on idx."""
 
     def __init__(self, h: OperatorMatrix, eps: float):
         self.eps = eps
-        self.vals, self.vecs = sla.eigh(h.matrix, driver="evr")
+        m = h.matrix
+        blocks = _blocks(m)
+        self.vals = np.empty(h.dim)
+        vecs = []
+        for idx in blocks:
+            self.vals[idx], v = sla.eigh(m[np.ix_(idx, idx)], driver="evr")
+            vecs.append(v)
+        self.vecs = _block_diagonal(blocks, vecs, h.dim)
+        self._vecs_h = self.vecs.conj().T.tocsr()
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
-        coef = self.vecs.conj().T @ state
+        coef = self._vecs_h @ state
         return self.vecs @ (np.exp(-1j * t * self.vals / self.eps) * coef)
 
 
@@ -481,10 +523,14 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
 
     model_factory(eps) must return models sharing the mode layout.  Returns
     the error table err[eps][t], the final errors in decreasing eps, and
-    whether they fall with eps (BOHR_SLACK allowed; no rate claimed).
+    whether they fall with eps (BOHR_SLACK allowed; no rate claimed).  Also
+    returns edge_weight[eps], the largest probability over the sampled times
+    on basis states at an occupancy cap (N1 = n_max_particles or
+    N2 = n_max_phonons), where the truncation acts.
     """
     times = np.linspace(0.0, t_final, n_times)
     table = {}
+    edge_weight = {}
     reference = None
     for eps in eps_values:
         model = model_factory(eps)
@@ -494,17 +540,22 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
         h = build_hamiltonian(model)
         prop = Propagator(h, model.eps)
         psi0 = coherent_state(model, particle_amps, phonon_amps)
-        errs = []
+        n1, n2 = model.sector_totals()
+        edge = (n1 == model.n_max_particles) | (n2 == model.n_max_phonons)
+        errs, weights = [], []
         for i, t in enumerate(times):
             psi_t = prop.apply(psi0, t)
             modes = mode_expectations(model, psi_t)
             errs.append(float(np.linalg.norm(modes - reference[i])))
+            weights.append(float(np.sum(np.abs(psi_t[edge]) ** 2)))
         table[eps] = errs
+        edge_weight[eps] = max(weights)
     eps_desc = sorted(table, reverse=True)
     final = [table[eps][-1] for eps in eps_desc]
     monotone = all(b <= BOHR_SLACK * a for a, b in zip(final, final[1:]))
     return {"times": times.tolist(), "errors": table, "eps": eps_desc,
-            "final_errors": final, "monotone": monotone}
+            "final_errors": final, "monotone": monotone,
+            "edge_weight": edge_weight}
 
 
 def klmn_check(model: FockModel, n_samples: int = 1000, seed: int = 0,
@@ -514,10 +565,10 @@ def klmn_check(model: FockModel, n_samples: int = 1000, seed: int = 0,
 
     Reports the smallest sampled a on a grid of C, and whether some pair
     (a <= a_cap, C) dominates every sample (existence claim only)."""
-    h0 = build_free_hamiltonian(model).matrix
+    h0 = _coupled_hamiltonian(model, np.zeros(model.n_phonon_modes))
     comp = dress_hamiltonian(model, build_hamiltonian(model), build_T(model))
-    h_i = comp.matrix - h0
-    n1 = model.occupancy[:, : model.n_particle_modes].sum(axis=1)
+    h_i = sparse.csr_array(comp.matrix) - h0
+    n1, _ = model.sector_totals()
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     for _ in range(n_samples):

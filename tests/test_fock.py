@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from polaronlab import fock
 from polaronlab.fock import (
     BOHR_SLACK,
     KLMN_A_CAP,
     FockModel,
     OperatorMatrix,
     Propagator,
+    _blocks,
+    assemble_dressed,
     build_T,
     build_free_hamiltonian,
     build_hamiltonian,
@@ -31,6 +34,17 @@ def chain(eps=0.5, n_max=4, dk=0.5) -> FockModel:
     return FockModel(particle_momenta=[0.0, 1.0, 2.0],
                      phonon_momenta=[1.0, 2.0], dk=dk, eps=eps,
                      n_max_particles=n_max, n_max_phonons=n_max, sigma0=1.5)
+
+
+def sectors(model: FockModel):
+    """(N1, P) sector index of every basis state, and the sector sizes."""
+    mp = model.n_particle_modes
+    occ = model.occupancy
+    momentum = occ[:, :mp] @ model.p + occ[:, mp:] @ model.k
+    labels = np.column_stack([occ[:, :mp].sum(axis=1), np.rint(momentum)])
+    _, sector, sizes = np.unique(labels, axis=0, return_inverse=True,
+                                 return_counts=True)
+    return sector.ravel(), sizes
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +74,7 @@ class TestModel:
 
     def test_number_operators(self, toy):
         for sector in ("particles", "phonons"):
-            n = toy.number_operator(sector)
+            n = toy.number_operator(sector).toarray()
             assert np.max(np.abs(n - np.diag(np.diag(n)))) == 0.0
             vals = np.diag(n).real
             assert np.min(vals) >= 0.0
@@ -82,6 +96,34 @@ class TestModel:
                 row = toy.index[tuple(occ2)]
                 assert gm[row, col] == pytest.approx(toy.eps * m[j, i],
                                                      abs=1e-14)
+
+    def test_ladders_match_occupancy_oracle(self, toy):
+        for m in range(5):
+            oracle = np.zeros((toy.dim, toy.dim), dtype=complex)
+            for col, occ in enumerate(toy.basis):
+                if occ[m]:
+                    target = list(occ)
+                    target[m] -= 1
+                    oracle[toy.index[tuple(target)], col] = math.sqrt(
+                        toy.eps * occ[m])
+            assert np.array_equal(toy.psi(m).toarray(), oracle)
+
+    def test_gamma_matches_occupancy_oracle(self, toy):
+        # sum_ij M_ij psi_i* psi_j from its matrix elements on the basis
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        oracle = np.zeros((toy.dim, toy.dim), dtype=complex)
+        for col, occ in enumerate(toy.basis):
+            for i in range(3):
+                for j in range(3):
+                    if occ[j] == 0:
+                        continue
+                    target = list(occ)
+                    target[j] -= 1
+                    target[i] += 1
+                    oracle[toy.index[tuple(target)], col] += (
+                        m[i, j] * toy.eps * math.sqrt(occ[j] * target[i]))
+        assert np.max(np.abs(toy.gamma(m).toarray() - oracle)) < 1e-14
 
 
 class TestHamiltonians:
@@ -150,6 +192,23 @@ class TestDressing:
         hd = dress_hamiltonian(model, h, build_T(model))
         assert np.max(np.abs(hd.matrix - h.matrix)) < 1e-12
 
+    def test_blockwise_conjugation_is_the_full_space_one(self, toy):
+        h = build_hamiltonian(toy)
+        t = build_T(toy)
+        hd = dress_hamiltonian(toy, h, t)
+        u = unitary_from_generator(t.matrix, 1.0 / toy.eps)
+        assert np.max(np.abs(hd.matrix - u @ h.matrix @ u.conj().T)) < 1e-11
+        sector, _ = sectors(toy)
+        outside = sector[:, None] != sector[None, :]
+        assert np.all(hd.matrix[outside] == 0.0)
+
+    def test_assembled_terms_conserve_sectors(self, toy):
+        sector, _ = sectors(toy)
+        for name, part in assemble_dressed(toy).items():
+            coo = part.tocoo()
+            hop = coo.data[sector[coo.row] != sector[coo.col]]
+            assert not np.any(hop), name
+
     def test_unitarity(self, toy):
         t = build_T(toy)
         u = unitary_from_generator(t.matrix, 1.0 / toy.eps)
@@ -162,7 +221,7 @@ class TestDressing:
         # the comparison is not vacuous: first-order dressed structure is
         # orders of magnitude above the gate
         sel = model.low_occupancy_indices(rep["n_cut"])
-        drift = rep["parts"]["drift"][np.ix_(sel, sel)]
+        drift = rep["parts"]["drift"].toarray()[np.ix_(sel, sel)]
         assert np.linalg.norm(drift, 2) > 1e-4
 
     def test_conjugation_preserves_spectrum(self, toy):
@@ -246,6 +305,27 @@ class TestEvolution:
             v1 = expect(n1, prop.apply(psi, 0.9)).real
             assert abs(v1 - v0) < 1e-10 * (1 + abs(v0))
 
+    def test_blocks_joined_by_a_tiny_entry_merge(self):
+        rng = np.random.default_rng(5)
+        m = np.zeros((6, 6), dtype=complex)
+        for idx in (np.arange(0, 6, 2), np.arange(1, 6, 2)):
+            x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            m[np.ix_(idx, idx)] = x + x.conj().T
+        psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        eps, t = 0.5, 0.7
+
+        def dense(mat):
+            vals, vecs = np.linalg.eigh(mat)
+            return vecs @ (np.exp(-1j * t * vals / eps)
+                           * (vecs.conj().T @ psi))
+
+        for coupling, blocks in ((0.0, [[0, 2, 4], [1, 3, 5]]),
+                                 (1e-14, [list(range(6))])):
+            m[4, 1] = m[1, 4] = coupling
+            assert sorted(b.tolist() for b in _blocks(m)) == blocks
+            prop = Propagator(OperatorMatrix(m, hermitian=True), eps)
+            assert np.max(np.abs(prop.apply(psi, t) - dense(m))) < 1e-12
+
     def test_undressed_route_via_conjugation(self, toy):
         # e^{-itH/eps} equals U* e^{-it UHU*/eps} U
         h = build_hamiltonian(toy)
@@ -310,6 +390,24 @@ class TestCorrespondence:
                                        for e in (0.5, 0.25)]
         assert res["monotone"]
 
+    def test_edge_weight_small_on_acceptance_data(self):
+        # the data of acceptance 10
+        res = correspondence_experiment(lambda eps: chain(eps, n_max=6),
+                                        [0.5, 0.25, 0.125], [0.25, 0.15, 0.0],
+                                        [0.2, 0.1], 0.5, n_times=6)
+        weights = res["edge_weight"]
+        assert set(weights) == {0.5, 0.25, 0.125}
+        assert 0.0 < max(weights.values()) < 1e-3
+
+    def test_edge_weight_rises_near_the_margin(self):
+        # |z|^2 / eps = 0.99 * 0.3 * n_max, inside the margin n_max / 3
+        eps, n_max = 0.5, 6
+        z = math.sqrt(0.99 * 0.3 * n_max * eps)
+        res = correspondence_experiment(lambda e: chain(e, n_max=n_max),
+                                        [eps], [z, 0.0, 0.0], [0.2, 0.1],
+                                        0.5, n_times=6)
+        assert res["edge_weight"][eps] > 1e-3
+
     def test_monotone_verdict_can_fail(self):
         # at occupancy cutoff 3 the eps = 0.125 coherent state leans on the
         # truncation edge and its error grows again
@@ -334,3 +432,22 @@ class TestKLMN:
         assert rep["satisfied"]
         assert rep["a"] <= KLMN_A_CAP
         assert rep["norm_kB_sq"] <= 1.0 / (toy.eps * toy.n_max_particles)
+
+
+def test_eigh_sees_no_block_beyond_a_sector(monkeypatch):
+    """The conjugation and the propagator diagonalise one (N1, P) sector at a
+    time, never the whole space."""
+    shapes = []
+    eigh = fock.sla.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(fock.sla, "eigh", recording)
+    model = chain(dk=1e-6)
+    dressed_comparison(model)
+    correspondence_experiment(chain, [0.5, 0.25], [0.2, 0.1, 0.0],
+                              [0.15, 0.1], 0.5, n_times=3)
+    _, sizes = sectors(model)
+    assert shapes and max(max(s) for s in shapes) <= sizes.max() < model.dim
