@@ -150,7 +150,7 @@ def lp_step(z: PhasePoint, dt: float,
     u = g.inverse(mult * g.fourier(z.u))
 
     w = u.real**2 + u.imag**2
-    source = g.f_inf * g.fourier_dx(w)
+    source = g.phonon_source(w)
     phase_half = cmath.exp(-0.5j * dt)
     alpha_mid = phase_half * z.alpha + (phase_half - 1.0) * source
     a_mid = g.field_real(alpha_mid, g.f_inf_sym)

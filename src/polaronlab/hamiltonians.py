@@ -242,7 +242,7 @@ def grad_undressed_interaction(z: PhasePoint) -> GradientPair:
     g = z.grid
     a = g.field_real(z.alpha, g.f_inf_sym)
     w = z.u.real**2 + z.u.imag**2
-    return GradientPair(du=a * z.u, dalpha=g.f_inf * g.fourier_dx(w))
+    return GradientPair(du=a * z.u, dalpha=g.phonon_source(w))
 
 
 # -- finite-difference certification --------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import pair_label, strichartz_pairs
-from .dynamics import EvolutionConfig, Trajectory, free_flow, lp_evolve
+from .dynamics import EvolutionConfig, Trajectory, lp_evolve
 from .spectral import FormFactorSet, PhasePoint, SpectralGrid
 
 # a horizon contracts when the first N_RATIOS successive-difference ratios
@@ -52,6 +52,31 @@ class PicardDivergenceError(RuntimeError):
             f"ratios {', '.join(f'{r:.3f}' for r in self.ratios[-3:])}")
 
 
+# The transforms of the map run on stacks of mesh nodes holding about this
+# many bytes of complex data (16 nodes at N=16): enough nodes to spread the
+# per-call cost of scipy.fft, few enough that a stack and its temporaries
+# stay small.
+CHUNK_BYTES = 1 << 20
+
+
+def node_chunk(grid: SpectralGrid) -> int:
+    """Mesh nodes per transform stack on grid."""
+    return max(1, CHUNK_BYTES // (16 * grid.size))
+
+
+def _chunks(n_nodes: int, grid: SpectralGrid):
+    m = node_chunk(grid)
+    for start in range(0, n_nodes, m):
+        yield slice(start, min(start + m, n_nodes))
+
+
+def _node_sq_norms(stack: np.ndarray) -> np.ndarray:
+    """sum |a|^2 over each field of a stack, in one pass over the real and
+    imaginary parts (einsum, not BLAS)."""
+    x = stack.view(np.float64).reshape(len(stack), -1)
+    return np.einsum("ij,ij->i", x, x)
+
+
 @dataclass
 class MeshTrajectory:
     """Fields sampled on the uniform time mesh of [0, T]."""
@@ -64,37 +89,53 @@ class MeshTrajectory:
     @classmethod
     def from_free_flow(cls, z0: PhasePoint, t_final: float,
                        n_nodes: int) -> "MeshTrajectory":
+        """free_flow(z0, t) at every node, from one forward transform of u0
+        and one inverse call per stack of nodes.  The kinetic phases are
+        taken on the distinct values of |k|^2 and spread over the lattice,
+        the same numbers free_flow computes."""
         times = np.linspace(0.0, t_final, n_nodes)
         g = z0.grid
+        u0_k = g.fourier(z0.u)
+        k_sq, where = np.unique(g.k_sq, return_inverse=True)
+        where = where.reshape(g.shape)
         u = np.empty((n_nodes,) + g.shape, dtype=np.complex128)
-        alpha = np.empty_like(u)
-        for i, t in enumerate(times):
-            zt = free_flow(z0, t)
-            u[i] = zt.u
-            alpha[i] = zt.alpha
+        for c in _chunks(n_nodes, g):
+            kin = np.exp(-1j * times[c, None] * k_sq)
+            np.multiply(kin[:, where], u0_k, out=u[c])
+            u[c] = g.inverse(u[c], scratch=True)
+        phases = np.array([cmath.exp(-1j * t) for t in times])
+        alpha = phases.reshape((-1,) + (1,) * g.d) * z0.alpha
         return cls(grid=g, times=times, u=u, alpha=alpha)
 
     def endpoint(self) -> PhasePoint:
         return PhasePoint(self.grid, self.u[-1], self.alpha[-1], check=False)
 
     def sup_distance(self, other: "MeshTrajectory") -> float:
-        """max over nodes of the L2 (+) L2 distance."""
+        """max over nodes of the L2 (+) L2 distance, one stack of nodes at
+        a time."""
         g = self.grid
-        du = self.u - other.u
-        da = self.alpha - other.alpha
-        d2 = (np.sum(np.abs(du) ** 2, axis=tuple(range(1, du.ndim))) * g.dx
-              + np.sum(np.abs(da) ** 2, axis=tuple(range(1, da.ndim))) * g.dk)
-        return float(np.sqrt(np.max(d2)))
+        worst = 0.0
+        for c in _chunks(len(self.times), g):
+            d2 = (_node_sq_norms(self.u[c] - other.u[c]) * g.dx
+                  + _node_sq_norms(self.alpha[c] - other.alpha[c]) * g.dk)
+            worst = max(worst, float(np.max(d2)))
+        return math.sqrt(worst)
 
 
 def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
     """Apply the mild-solution map to a mesh trajectory.
 
-    The running integrals are accumulated incrementally; composing the exact
-    free propagator with the trapezoid increments reproduces the full
-    trapezoid sum node by node.  The free part and the electron accumulator
-    are carried in k-space, where the free propagator over one mesh step is
-    a multiplier, so each node costs one inverse transform of their sum.
+    Composing the exact free propagator K over one mesh step with the
+    trapezoid increments reproduces the full trapezoid sum node by node.
+    The map carries y_i = free_i - i acc_i, which obeys
+
+        y_i = K (y_{i-1} + q_{i-1}) + q_i,    q = -i (dt/2) g,
+
+    for the electron in k-space (K the kinetic multiplier) and for the
+    phonon (K the phase e^{-i dt}).  For each stack of nodes, one call
+    transforms each integrand, the recurrence writes y node by node into
+    the output, and one inverse call brings the electron stack back to
+    x-space in place.
     """
     g = z0.grid
     if not g.same_as(candidate.grid):
@@ -102,39 +143,36 @@ def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
     times = candidate.times
     n = len(times)
     dt = times[1] - times[0] if n > 1 else 0.0
-    f_inf = g.f_inf
+    kin_step = np.exp(-1j * dt * g.k_sq)
+    phase_step = cmath.exp(-1j * dt)
 
     out_u = np.empty_like(candidate.u)
     out_a = np.empty_like(candidate.alpha)
-
-    def integrand_u_k(i):
-        a = g.field_real(candidate.alpha[i], g.f_inf_sym)
-        return g.fourier(a * candidate.u[i])
-
-    def integrand_a(i):
-        w = candidate.u[i].real**2 + candidate.u[i].imag**2
-        return f_inf * g.fourier_dx(w)
-
-    acc_a = np.zeros(g.shape, dtype=np.complex128)
-    prev_gu_k = integrand_u_k(0)
-    prev_ga = integrand_a(0)
+    # y and q at the node before the current one
+    y_u, y_a = g.fourier(z0.u), z0.alpha
+    q_u = q_a = None
+    for c in _chunks(n, g):
+        u = candidate.u[c]
+        a = g.field_real(candidate.alpha[c], g.f_inf_sym)
+        qu = g.fourier(a * u)
+        qu *= -0.5j * dt
+        qa = g.phonon_source(u.real**2 + u.imag**2)
+        qa *= -0.5j * dt
+        yu, ya = out_u[c], out_a[c]
+        for j in range(c.stop - c.start):
+            if q_u is None:
+                yu[j], ya[j] = y_u, y_a
+            else:
+                np.add(y_u, q_u, out=yu[j])
+                yu[j] *= kin_step
+                yu[j] += qu[j]
+                np.add(y_a, q_a, out=ya[j])
+                ya[j] *= phase_step
+                ya[j] += qa[j]
+            y_u, y_a, q_u, q_a = yu[j], ya[j], qu[j], qa[j]
+        y_u = y_u.copy()    # the inverse below overwrites the stack
+        out_u[c] = g.inverse(yu, scratch=True)
     out_u[0] = z0.u
-    out_a[0] = z0.alpha
-    if n > 1:
-        kin_step = np.exp(-1j * dt * g.k_sq)
-        phase_step = cmath.exp(-1j * dt)
-        free_k = g.fourier(z0.u)
-        acc_k = np.zeros(g.shape, dtype=np.complex128)
-    for i in range(1, n):
-        gu_k = integrand_u_k(i)
-        ga = integrand_a(i)
-        # acc(t_i) = e^{i dt Lap} acc(t_{i-1}) + dt/2 (e^{i dt Lap} g_{i-1} + g_i)
-        free_k = kin_step * free_k
-        acc_k = kin_step * (acc_k + 0.5 * dt * prev_gu_k) + 0.5 * dt * gu_k
-        acc_a = phase_step * (acc_a + 0.5 * dt * prev_ga) + 0.5 * dt * ga
-        out_u[i] = g.inverse(free_k - 1j * acc_k)
-        out_a[i] = cmath.exp(-1j * times[i]) * z0.alpha - 1j * acc_a
-        prev_gu_k, prev_ga = gu_k, ga
     return MeshTrajectory(grid=g, times=times, u=out_u, alpha=out_a)
 
 

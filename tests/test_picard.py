@@ -1,7 +1,9 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from polaronlab.dynamics import EvolutionConfig, free_flow, lp_evolve
 from polaronlab.initial_data import random_smooth_state, random_smooth_states
@@ -15,6 +17,7 @@ from polaronlab.picard import (
     interpolation_residual,
     interpolation_residuals,
     measure_contraction,
+    node_chunk,
     picard_solve,
     picard_vs_strang,
     strichartz_report,
@@ -26,6 +29,31 @@ from polaronlab.spectral import PhasePoint, build_grid, field_A
 def small_state(grid16):
     return random_smooth_state(grid16, seed=11, u_amp=0.2, alpha_amp=0.12,
                                k_cut=0.5)
+
+
+def _node_by_node_map(cand: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
+    """The Duhamel map one node at a time: the free flow recomputed at
+    every node, the electron accumulator carried in x-space, the trapezoid
+    increments added as they are written."""
+    g = z0.grid
+    times = cand.times
+    dt = times[1] - times[0] if len(times) > 1 else 0.0
+    kin = np.exp(-1j * dt * g.k_sq)
+    gu = [field_A(g, a, g.f_inf) * u for u, a in zip(cand.u, cand.alpha)]
+    ga = [g.f_inf * g.fourier_dx(np.abs(u) ** 2) for u in cand.u]
+    acc_u = np.zeros(g.shape, dtype=complex)
+    acc_a = np.zeros(g.shape, dtype=complex)
+    ref_u, ref_a = [z0.u], [z0.alpha]
+    for i in range(1, len(times)):
+        acc_u = g.inverse(kin * g.fourier(acc_u + 0.5 * dt * gu[i - 1])) \
+            + 0.5 * dt * gu[i]
+        acc_a = cmath.exp(-1j * dt) * (acc_a + 0.5 * dt * ga[i - 1]) \
+            + 0.5 * dt * ga[i]
+        free = free_flow(z0, times[i])
+        ref_u.append(free.u - 1j * acc_u)
+        ref_a.append(free.alpha - 1j * acc_a)
+    return MeshTrajectory(grid=g, times=times, u=np.array(ref_u),
+                          alpha=np.array(ref_a))
 
 
 class TestDuhamelMap:
@@ -44,32 +72,70 @@ class TestDuhamelMap:
         assert out.sup_distance(cand) < 1e-13
 
     def test_matches_node_by_node_free_flow(self, small_state):
-        """The map carries the free part and the electron accumulator in
-        k-space; the reference recomputes the free flow at every node and
-        accumulates in x-space."""
         z0 = small_state
-        g = z0.grid
         cand = MeshTrajectory.from_free_flow(z0, 0.1, 65)
         cand = duhamel_map(cand, z0)   # a candidate that is not free
-        times = cand.times
-        dt = times[1] - times[0]
-        kin = np.exp(-1j * dt * g.k_sq)
-        gu = [field_A(g, a, g.f_inf) * u for u, a in zip(cand.u, cand.alpha)]
-        ga = [g.f_inf * g.fourier_dx(np.abs(u) ** 2) for u in cand.u]
-        acc_u = np.zeros(g.shape, dtype=complex)
-        acc_a = np.zeros(g.shape, dtype=complex)
-        ref_u, ref_a = [z0.u], [z0.alpha]
-        for i in range(1, len(times)):
-            acc_u = g.inverse(kin * g.fourier(acc_u + 0.5 * dt * gu[i - 1])) \
-                + 0.5 * dt * gu[i]
-            acc_a = cmath.exp(-1j * dt) * (acc_a + 0.5 * dt * ga[i - 1]) \
-                + 0.5 * dt * ga[i]
-            free = free_flow(z0, times[i])
-            ref_u.append(free.u - 1j * acc_u)
-            ref_a.append(free.alpha - 1j * acc_a)
-        ref = MeshTrajectory(grid=g, times=times, u=np.array(ref_u),
-                             alpha=np.array(ref_a))
+        ref = _node_by_node_map(cand, z0)
         assert duhamel_map(cand, z0).sup_distance(ref) < 1e-13 * z0.norm()
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 16)])
+    def test_chunk_edges_match_node_by_node(self, d, n):
+        """Node counts on either side of the transform stack size, on
+        d = 1, 2, 3 grids."""
+        g = build_grid(d, n, 12.0)
+        z0 = random_smooth_state(g, seed=5, u_amp=0.3, alpha_amp=0.2,
+                                 k_cut=1.0)
+        m = node_chunk(g)
+        for n_nodes in sorted({1, 2, m - 1, m, m + 1, 3 * m - 1} - {0}):
+            cand = MeshTrajectory.from_free_flow(z0, 0.1, n_nodes)
+            cand = MeshTrajectory(grid=g, times=cand.times,
+                                  u=cand.u * (1.0 + 0.1j), alpha=cand.alpha)
+            ref = _node_by_node_map(cand, z0)
+            assert duhamel_map(cand, z0).sup_distance(ref) \
+                < 1e-13 * z0.norm(), n_nodes
+
+    def test_transform_calls_per_map(self, small_state, monkeypatch):
+        """At most four transform calls per stack of nodes, plus one."""
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(sfft, name, counting(getattr(sfft, name)))
+        z0 = small_state
+        m = node_chunk(z0.grid)
+        for n_nodes in (1, m, 3 * m - 1, 401):
+            cand = MeshTrajectory.from_free_flow(z0, 0.1, n_nodes)
+            calls.clear()
+            duhamel_map(cand, z0)
+            assert 0 < len(calls) <= 4 * math.ceil(n_nodes / m) + 1, n_nodes
+
+    def test_from_free_flow_matches_free_flow(self, small_state):
+        z0 = small_state
+        traj = MeshTrajectory.from_free_flow(z0, 0.3, 2 * node_chunk(z0.grid)
+                                             + 3)
+        for t, u, alpha in zip(traj.times, traj.u, traj.alpha):
+            zt = free_flow(z0, t)
+            assert np.max(np.abs(u - zt.u)) <= 1e-15 * z0.norm()
+            assert np.max(np.abs(alpha - zt.alpha)) <= 1e-15 * z0.norm()
+
+    def test_sup_distance_is_the_worst_node(self, small_state):
+        z0 = small_state
+        a = MeshTrajectory.from_free_flow(z0, 0.1, 2 * node_chunk(z0.grid)
+                                          + 5)
+        b = MeshTrajectory(grid=a.grid, times=a.times, u=a.u.copy(),
+                           alpha=a.alpha.copy())
+        b.u[-1] *= 1.5
+        b.alpha[3] *= 1.25
+        expected = max(PhasePoint(a.grid, ua, aa).distance(
+            PhasePoint(b.grid, ub, ab)) for ua, aa, ub, ab in zip(
+                a.u, a.alpha, b.u, b.alpha))
+        assert a.sup_distance(b) == pytest.approx(expected, rel=1e-12)
+        assert expected > 0.0
 
     def test_contraction_on_small_horizon(self, small_state):
         ratios = measure_contraction(small_state, 0.2, n_nodes=65)

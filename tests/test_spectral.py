@@ -346,6 +346,33 @@ class TestRealFieldTransforms:
             < 1e-12 * scale
 
     @real_field_settings
+    @given(g=grids, seed=seeds, m=st.integers(min_value=1, max_value=4),
+           which=st.sampled_from(["real", "imaginary", "generic"]))
+    def test_scalar_symbol_maps_a_stack_field_by_field(self, g, seed, m,
+                                                       which):
+        """A scalar symbol never contracts the stack, also when the stack
+        has d fields; a (d, ...) symbol still contracts its d fields."""
+        rng = np.random.default_rng(seed)
+        tables = _symbols(g, rng)
+        gtab = tables[which]
+        sym = g.half_symbol(gtab)
+        for r in (rng.standard_normal((m,) + g.shape),
+                  rng.standard_normal((g.d,) + g.shape)):
+            got = g.symbol_fourier_dx(sym, r)
+            assert got.shape == r.shape
+            for field, row in zip(r, got):
+                ref = gtab * g.fourier_dx(field)
+                scale = 1.0 + np.max(np.abs(ref))
+                assert np.max(np.abs(row - ref)) < 1e-12 * scale
+                assert np.max(np.abs(row - g.symbol_fourier_dx(sym, field))) \
+                    < 1e-12 * scale
+        kb = tables["stacked"]
+        ref = (kb * g.fourier_dx(r)).sum(axis=0)
+        got = g.symbol_fourier_dx(g.half_symbol(kb), r)
+        assert got.shape == g.shape
+        assert np.max(np.abs(got - ref)) < 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+    @real_field_settings
     @given(g=grids, seed=seeds)
     def test_grad_and_div(self, g, seed):
         rng = np.random.default_rng(seed)
