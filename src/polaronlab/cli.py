@@ -37,6 +37,13 @@ def _csv_floats(text: str):
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError("a count must be at least 1")
+    return n
+
+
 def _float_or_inf(text: str) -> float:
     return math.inf if text.strip().lower() in ("inf", "infinity") else float(text)
 
@@ -74,10 +81,10 @@ SCHEMA = {
     },
     "scenario": {
         "name": (str, "lp"),
-        "n_states": (int, 100),
+        "n_states": (_count, 100),
         "t_sample": (float, 0.5),
         "dt_levels": (_csv_floats, (4e-3, 2e-3, 1e-3)),
-        "n_directions": (int, 200),
+        "n_directions": (_count, 200),
         "fd_step": (float, 1e-5),
         "picard_nodes": (int, 257),
         "picard_dt": (float, 2.5e-4),
@@ -97,7 +104,7 @@ SCHEMA = {
         "alpha0": (_csv_floats, (0.2, 0.1)),
         "t_final": (float, 0.5),
         "n_times": (int, 6),
-        "klmn_samples": (int, 1000),
+        "klmn_samples": (_count, 1000),
     },
 }
 
@@ -120,14 +127,17 @@ def load_config(path: str | Path) -> dict:
         for key, raw in parser.items(sec):
             if key not in SCHEMA[sec]:
                 raise ConfigError(f"unknown key '{key}' in section [{sec}]")
-            conv = SCHEMA[sec][key][0]
-            try:
-                cfg[sec][key] = conv(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for [{sec}] {key} = {raw!r}: {exc}") from exc
+            cfg[sec][key] = _convert(sec, key, raw)
     _check_scenario(cfg["scenario"]["name"])
     return cfg
+
+
+def _convert(sec: str, key: str, raw: str):
+    try:
+        return SCHEMA[sec][key][0](raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"bad value for [{sec}] {key} = {raw!r}: {exc}") from exc
 
 
 def _check_scenario(name: str) -> None:
@@ -386,8 +396,7 @@ def run_scenario(cfg: dict, outdir: str | Path, seed: int | None = None,
 def _sweep_one(args):
     path, outdir, seed, scenario, section, key, value = args
     cfg = load_config(path)
-    conv = SCHEMA[section][key][0]
-    cfg[section][key] = conv(value)
+    cfg[section][key] = _convert(section, key, value)
     return value, run_scenario(cfg, outdir, seed=seed, scenario=scenario)
 
 
@@ -448,6 +457,7 @@ def main(argv=None) -> int:
             values = [v.strip() for v in args.values.split(",") if v.strip()]
             jobs = []
             for v in values:
+                _convert(section, key, v)
                 outdir = Path(args.outdir) / f"{key}={v}"
                 jobs.append((args.config, outdir, args.seed, args.scenario,
                              section, key, v))

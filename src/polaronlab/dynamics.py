@@ -187,8 +187,7 @@ def _alpha_substep(grid: SpectralGrid, ff: FormFactorSet, u: np.ndarray,
     uk is fourier(u); big_w = 2 Re P at alpha, when the caller holds it."""
     g = grid
     w = u.real**2 + u.imag**2
-    src = (g.symbol_fourier_dx(ff.f_ir_sym, w)
-           + drift_dalpha(ff, u, g.grad_d(uk)))
+    src = ff.f_ir * g.fourier_dx(w) + drift_dalpha(ff, u, g.grad_d(uk))
 
     def rhs(big_w):
         return -1j * (src + quadratic_dalpha(ff, big_w, w))

@@ -156,18 +156,24 @@ def drift_du(g: SpectralGrid, p: np.ndarray, v: np.ndarray,
     return -2.0 * ((p * dv).sum(axis=0) + g.div_d(np.conj(p) * v))
 
 
+def _kb_contract(ff: FormFactorSet, r: np.ndarray) -> np.ndarray:
+    """sum_j k_j B fourier_dx(r_j) for a (d, ...) stack r."""
+    s = ff.grid.fourier_dx(r)
+    s *= ff.kB_stack
+    return s.sum(axis=0)
+
+
 def drift_dalpha(ff: FormFactorSet, u: np.ndarray,
                  du_d: np.ndarray) -> np.ndarray:
     """alpha-gradient of the drift term, -2 sum_j k_j B F(conj(u) D_j u)."""
-    g = ff.grid
-    return -2.0 * (ff.kB_stack * g.fourier_dx(np.conj(u) * du_d)).sum(axis=0)
+    return -2.0 * _kb_contract(ff, np.conj(u) * du_d)
 
 
 def quadratic_dalpha(ff: FormFactorSet, big_w: np.ndarray,
                      w: np.ndarray) -> np.ndarray:
     """alpha-gradient of the quadratic field term, 2 sum_j k_j B F(W_j |u|^2)
     with W = 2 Re P."""
-    return 2.0 * ff.grid.symbol_fourier_dx(ff.kB_sym, big_w * w)
+    return 2.0 * _kb_contract(ff, big_w * w)
 
 
 def pair_convolution(ff: FormFactorSet, w: np.ndarray) -> np.ndarray:
@@ -211,7 +217,7 @@ def dressed_term_gradients(z: PhasePoint, ff: FormFactorSet) -> dict:
 
     a_ir = g.field_real(z.alpha, ff.f_ir_sym)
     out = {"coupling_ir": GradientPair(
-        du=a_ir * z.u, dalpha=g.symbol_fourier_dx(ff.f_ir_sym, w))}
+        du=a_ir * z.u, dalpha=ff.f_ir * g.fourier_dx(w))}
 
     out["pair"] = GradientPair(
         du=2.0 * pair_convolution(ff, w) * z.u, dalpha=zero_k)
@@ -273,7 +279,7 @@ def gradient_check(z: PhasePoint, ff: FormFactorSet, n_directions: int,
     rows, worst = [], {}
     for name, (fun, grad) in targets.items():
         errors = fd_gradient_errors(fun, grad, z, n_directions, rng, h)
-        worst[name] = max(errors, default=0.0)
+        worst[name] = max(errors)
         rows.extend({"functional": name, "direction": i, "rel_error": e}
                     for i, e in enumerate(errors))
     verdicts = {f"grad_{k}": v < GRADIENT_TOL for k, v in worst.items()}

@@ -69,17 +69,12 @@ class SpectralGrid:
         # indices 0 .. N/2 (Nyquist included)
         self.n_half = self.n // 2 + 1
         self.half_shape = self.shape[:-1] + (self.n_half,)
-        self.rest_shape = self.shape[:-1] + (self.n - self.n_half,)
-        # flat indices of -k: for the points of the half lattice into the
-        # full one, and for the points off it (the rest) into the half one;
-        # along every axis index i maps to (-i) mod N, so a Nyquist index
-        # maps to itself
+        # flat indices into the full lattice of -k for the points of the
+        # half lattice; along every axis index i maps to (-i) mod N, so a
+        # Nyquist index maps to itself
         neg = np.ix_(*[(-np.arange(self.n)) % self.n] * d)
         neg_flat = np.ravel_multi_index(neg, self.shape)
         self._neg_of_half = neg_flat[..., :self.n_half].ravel()
-        self._neg_of_rest = np.ravel_multi_index(
-            np.unravel_index(neg_flat[..., self.n_half:], self.shape),
-            self.half_shape).ravel()
         self._f_inf = None
         self._f_inf_sym = None
 
@@ -107,10 +102,9 @@ class SpectralGrid:
         equation for w = |u|^2, a real field or a stack of them.
 
         scipy's fftn of a real array runs pocketfft's real-input transform
-        and fills the conjugate half in C, which is faster than
-        symbol_fourier_dx(f_inf_sym, w) and its numpy fill: 0.42 against
-        0.99 ms for one field at N=32, 1.4 against 2.1 ms for 16 at N=16
-        (2-vCPU Xeon VM, numpy 2.4, scipy 1.17).
+        and fills the conjugate half in C: 0.42 ms for one field at N=32,
+        against 0.99 ms for an r2c transform whose conjugate half is filled
+        in numpy (2-vCPU Xeon VM, numpy 2.4, scipy 1.17).
         """
         return self.f_inf * self.fourier_dx(w)
 
@@ -131,31 +125,17 @@ class SpectralGrid:
     # -- real fields on the half lattice -------------------------------------
 
     def reflect(self, a: np.ndarray) -> np.ndarray:
-        """a(-k) where the other lattice lacks it: for a on the full lattice
-        at the points of the half lattice, for a on the half lattice at the
-        points off it (rest_shape).  a may carry one leading stacking axis."""
-        if a.shape[-self.d:] == self.shape:
-            idx, shape = self._neg_of_half, self.half_shape
-        else:
-            self._half_axes(a)
-            idx, shape = self._neg_of_rest, self.rest_shape
-        lead = a.shape[:a.ndim - self.d]
+        """a(-k) at the points of the half lattice, for a on the full
+        lattice; a may carry one leading stacking axis."""
+        lead = a.shape[:self._axes(a)[0]]  # () or the stacking axis
         flat = a.reshape(lead + (-1,))
-        return np.take(flat, idx, axis=-1).reshape(lead + shape)
+        return np.take(flat, self._neg_of_half, axis=-1).reshape(
+            lead + self.half_shape)
 
     def half_symbol(self, g: np.ndarray) -> tuple:
-        """The pair (g(k), g(-k)) on the half lattice that field_real and
-        symbol_fourier_dx take; g may be a (d, ...) stack."""
+        """The pair (g(k), g(-k)) on the half lattice that field_real takes;
+        g may be a (d, ...) stack."""
         return np.ascontiguousarray(g[..., :self.n_half]), self.reflect(g)
-
-    def expand_half(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Full-lattice spectrum equal to s on the half lattice and to
-        conj(t(-k)) off it.  t = s expands a Hermitian spectrum (the
-        transform of a real field), t = -s an anti-Hermitian one."""
-        out = np.empty(s.shape[:-1] + (self.n,), dtype=np.complex128)
-        out[..., :self.n_half] = s
-        out[..., self.n_half:] = np.conj(self.reflect(t))
-        return out
 
     def field_real(self, alpha: np.ndarray, sym: tuple) -> np.ndarray:
         """2 Re sum_k conj(alpha) g e^{-ik.x} dk, with sym = half_symbol(g).
@@ -170,27 +150,6 @@ class SpectralGrid:
         spec = alpha[..., :self.n_half] * _conj(g_half) + a_neg * g_neg
         spec *= self.dk * self.size
         return sfft.irfftn(spec, s=self.shape, axes=self._half_axes(spec))
-
-    def symbol_fourier_dx(self, sym: tuple, r: np.ndarray) -> np.ndarray:
-        """g * fourier_dx(r) on the full lattice for a real field r, with
-        sym = half_symbol(g).  When g is a (d, ...) stack, the (d, ...)
-        stack r is contracted against it, giving sum_j g_j fourier_dx(r_j);
-        a scalar g maps a stack r field by field.
-
-        One r2c transform call.  Off the half lattice the product is conj
-        of sum_j conj(g_j(-k)) F(r_j) at -k: g_j need not be even, and
-        k_j B is not odd on the Nyquist plane of axis j, where -k = k.
-        """
-        g_half, g_neg = sym
-        rk = sfft.rfftn(r, axes=self._axes(r))
-        s = g_half * rk
-        t = _conj(g_neg) * rk
-        if g_half.ndim > self.d:
-            s = s.sum(axis=0)
-            t = t.sum(axis=0)
-        out = self.expand_half(s, t)
-        out *= self.dx
-        return out
 
     def _axes(self, a: np.ndarray) -> tuple:
         # allow one leading stacking axis (e.g. the d components of a vector)
@@ -220,9 +179,6 @@ class SpectralGrid:
         qk *= self.k_vec
         return sfft.ifftn(qk.sum(axis=0), axes=tuple(range(self.d)),
                           overwrite_x=True)
-
-    def laplacian(self, u: np.ndarray) -> np.ndarray:
-        return -self.inverse(self.k_sq * self.fourier(u))
 
     # -- inner products and norms -------------------------------------------
 
@@ -394,8 +350,7 @@ class FormFactorSet:
     f: np.ndarray          # f_sigma
     f_ir: np.ndarray       # f_{sigma0}, the infrared part kept by the dressing
     B: np.ndarray
-    kB: tuple              # d arrays, k_j * B
-    kB_stack: np.ndarray   # the same as one (d, ...) array
+    kB_stack: np.ndarray   # (d, ...) stack of k_j * B
     f_ir_sym: tuple        # half_symbol(f_ir)
     kB_sym: tuple          # half_symbol(kB_stack)
     pair_symbol: np.ndarray  # |B|^2 + 2 B f, the symbol generating V
@@ -430,9 +385,8 @@ def build_form_factors(grid: SpectralGrid, sigma0: float,
                 stacklevel=2)
     f = form_factor_f(k, grid.d, sigma)
     B = gross_generator_b(k, grid.d, sigma0, sigma)
-    kB = tuple(kc * B for kc in grid.k_comps)
     f_ir = form_factor_f(k, grid.d, sigma0)
-    kB_stack = np.stack(kB)
+    kB_stack = grid.k_vec * B
     s = B * B + 2.0 * B * f
     v_complex = grid.inverse_dk(s)
     resid = float(np.max(np.abs(v_complex.imag)))
@@ -440,8 +394,8 @@ def build_form_factors(grid: SpectralGrid, sigma0: float,
         raise AssertionError(f"pair potential has imaginary residue {resid}")
     v = v_complex.real
     return FormFactorSet(grid=grid, sigma0=float(sigma0), sigma=float(sigma),
-                         f=f, f_ir=f_ir, B=B, kB=kB,
-                         kB_stack=kB_stack, f_ir_sym=grid.half_symbol(f_ir),
+                         f=f, f_ir=f_ir, B=B, kB_stack=kB_stack,
+                         f_ir_sym=grid.half_symbol(f_ir),
                          kB_sym=grid.half_symbol(kB_stack), pair_symbol=s,
                          V=v, V_hat=sfft.rfftn(v),
                          sigma0_below_first_shell=below)

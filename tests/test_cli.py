@@ -61,6 +61,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="often"):
             load_config(path)
 
+    @pytest.mark.parametrize("section, key", [("scenario", "n_states"),
+                                              ("scenario", "n_directions"),
+                                              ("fock", "klmn_samples")])
+    def test_zero_count_rejected(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, f"[{section}]\n{key} = 0\n")
+        assert main(["validate", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        # a sweep converts its values before it starts any run
+        path = write_config(tmp_path, MINI.format(name="free"))
+        assert main(["sweep", str(path), "--param", f"{section}.{key}",
+                     "--values", "1,0", "--outdir", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")

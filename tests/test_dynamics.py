@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from polaronlab.diagnostics import diagnostics_row, max_relative_drift
 from polaronlab.dynamics import (
@@ -175,6 +176,30 @@ def test_classical_path_makes_no_blas_reduction(monkeypatch, ff16,
     h_dressed(z, ff16)
     grad_dressed(z, ff16)
     diagnostics_row(z, ff16, 0.0)
+
+
+def test_transform_calls_of_the_dressed_layer(monkeypatch, ff16,
+                                              smooth_state):
+    """Transform calls of one dressed step, one dressed gradient and one
+    dressed energy on the fixture data.  The step's count holds three
+    evaluations of the midpoint map, four calls each; on smoother data
+    (k_cut 0.35) the step needs two and makes 31 calls."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(sfft, name, counting(getattr(sfft, name)))
+    for fn, expected in ((lambda z: dressed_step(z, 1e-2, ff16), 35),
+                         (lambda z: grad_dressed(z, ff16), 13),
+                         (lambda z: h_dressed(z, ff16), 8)):
+        calls.clear()
+        fn(smooth_state)
+        assert len(calls) == expected
 
 
 class TestInteractionPicture:
