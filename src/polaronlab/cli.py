@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, dressing, dynamics, fock, hamiltonians, picard
-from .initial_data import build_state, random_smooth_states
+from .initial_data import (ALPHA_FAMILIES, U_FAMILIES, build_state,
+                           random_smooth_states)
 from .spectral import build_form_factors, build_grid
 
 CSV_SCHEMA_VERSION = 1
@@ -37,11 +38,23 @@ def _csv_floats(text: str):
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise ValueError("a count must be at least 1")
-    return n
+def _count(minimum: int = 1):
+    """Converter of a count that must be at least minimum."""
+    def convert(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise ValueError(f"a count must be at least {minimum}")
+        return n
+    return convert
+
+
+def _choice(options):
+    """Converter of a name that must be one of options."""
+    def convert(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"choose from {', '.join(options)}")
+        return text
+    return convert
 
 
 def _float_or_inf(text: str) -> float:
@@ -60,12 +73,12 @@ SCHEMA = {
         "sigma": (_float_or_inf, math.inf),
     },
     "initial": {
-        "u_family": (str, "gaussian"),
+        "u_family": (_choice(U_FAMILIES), "gaussian"),
         "u_amp": (float, 0.5),
         "u_width": (float, 1.5),
         "u_center": (_csv_floats, None),
         "u_momentum": (_csv_floats, None),
-        "alpha_family": (str, "gaussian"),
+        "alpha_family": (_choice(ALPHA_FAMILIES), "gaussian"),
         "alpha_amp": (float, 0.3),
         "alpha_width": (float, 1.0),
         "shell_radius": (float, 1.0),
@@ -77,16 +90,16 @@ SCHEMA = {
         "dt": (float, 1e-3),
         "t_final": (float, 1.0),
         "scheme": (str, "strang-split"),
-        "record_every": (int, 10),
+        "record_every": (_count(), 10),
     },
     "scenario": {
         "name": (str, "lp"),
-        "n_states": (_count, 100),
+        "n_states": (_count(), 100),
         "t_sample": (float, 0.5),
         "dt_levels": (_csv_floats, (4e-3, 2e-3, 1e-3)),
-        "n_directions": (_count, 200),
+        "n_directions": (_count(), 200),
         "fd_step": (float, 1e-5),
-        "picard_nodes": (int, 257),
+        "picard_nodes": (_count(2), 257),
         "picard_dt": (float, 2.5e-4),
         "picard_t_start": (float, 0.4),
     },
@@ -103,8 +116,8 @@ SCHEMA = {
         "phi0": (_csv_floats, (0.25, 0.15, 0.0)),
         "alpha0": (_csv_floats, (0.2, 0.1)),
         "t_final": (float, 0.5),
-        "n_times": (int, 6),
-        "klmn_samples": (_count, 1000),
+        "n_times": (_count(2), 6),
+        "klmn_samples": (_count(), 1000),
     },
 }
 
@@ -113,18 +126,24 @@ def load_config(path: str | Path) -> dict:
     """Parse and validate an INI config against the schema.
 
     Unknown sections or keys are rejected by name; every value is converted
-    by the schema type.  Missing entries take defaults.
+    by the schema type.  Missing entries take defaults.  A file that is not
+    valid INI (a repeated section or key, a line outside any section) is a
+    config error too.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        entries = {sec: parser.items(sec) for sec in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     cfg = {sec: {k: d for k, (_, d) in keys.items()}
            for sec, keys in SCHEMA.items()}
-    for sec in parser.sections():
+    for sec, items in entries.items():
         if sec not in SCHEMA:
             raise ConfigError(f"unknown config section [{sec}]")
-        for key, raw in parser.items(sec):
+        for key, raw in items:
             if key not in SCHEMA[sec]:
                 raise ConfigError(f"unknown key '{key}' in section [{sec}]")
             cfg[sec][key] = _convert(sec, key, raw)

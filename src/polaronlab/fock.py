@@ -10,15 +10,16 @@ which is compared term by term against the dressed expansion (infrared
 coupling, pair potential, quadratic field term, drift term, and the
 number-weighted constant).
 
-Operators are scipy.sparse arrays built from the sparse ladder operators.
-H and T conserve particle number and total momentum, so they are block
-diagonal on the occupation basis: the conjugation and the propagator run
-one eigendecomposition per connected block of the operator's nonzero
-pattern, read from the matrix itself (a matrix without structure is one
-block).  An OperatorMatrix is where an operator becomes dense.  Model sizes
-are capped so correctness, not scale, is the product.  Operator identities
-are asserted away from the occupancy-truncation edge (sub-basis with total
-occupancy <= n_max/2).
+Operators are scipy.sparse arrays built from the sparse ladder operators,
+and an OperatorMatrix keeps them sparse (a dense copy is built only on
+demand).  H and T conserve particle number and total momentum, so they are
+block diagonal on the occupation basis: the conjugation and the propagator
+work on the connected blocks of the operators' nonzero pattern, read from
+the sparse matrices themselves (a matrix without structure is one block).
+Blocks of equal size are gathered into one stack and decomposed by one
+batched eigh.  Model sizes are capped so correctness, not scale, is the
+product.  Operator identities are asserted away from the
+occupancy-truncation edge (sub-basis with total occupancy <= n_max/2).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components
@@ -42,33 +42,39 @@ KLMN_A_CAP = 0.9
 BOHR_SLACK = 1.1
 
 
-def _frobenius(m) -> float:
-    """Frobenius norm of a dense or sparse matrix (of its stored entries)."""
-    return float(np.linalg.norm(m.data if sparse.issparse(m) else m))
+def _frobenius(m: sparse.csr_array) -> float:
+    """Frobenius norm of a sparse matrix (of its stored entries)."""
+    return float(np.linalg.norm(m.data))
 
 
 @dataclass
 class OperatorMatrix:
-    """Dense operator with an optional certified-hermitian flag (a sparse
-    matrix is densified here)."""
+    """Sparse (csr) operator with an optional certified-hermitian flag; a
+    dense input is converted."""
 
-    matrix: np.ndarray
+    csr: sparse.csr_array
     hermitian: bool = False
 
     def __post_init__(self):
-        m = self.matrix
+        m = self.csr if sparse.issparse(self.csr) else np.asarray(self.csr)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
+        m = sparse.csr_array(m, dtype=np.complex128, copy=True)
+        m.sum_duplicates()
         if self.hermitian:
             defect = _frobenius(m - m.conj().T)
             if defect > HERMITICITY_TOL * (1.0 + _frobenius(m)):
                 raise AssertionError(f"hermiticity defect {defect:.3e}")
-        if sparse.issparse(m):
-            self.matrix = m.toarray()
+        self.csr = m
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense copy, built on each access."""
+        return self.csr.toarray()
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.csr.shape[0]
 
 
 def _sector_tuples(n_modes: int, n_max: int):
@@ -121,6 +127,7 @@ class FockModel:
     n_max_particles, n_max_phonons : per-sector total occupancy cutoffs.
     sigma0, sigma : infrared/ultraviolet cutoffs splitting the coupling
         into its f_{sigma0} part and the dressing range of B.
+    max_dim : basis-size guard; a larger occupation basis is refused.
     """
 
     def __init__(self, particle_momenta, phonon_momenta, dk: float,
@@ -154,8 +161,8 @@ class FockModel:
         self.dim = len(self.basis)
         if self.dim > max_dim:
             raise ValueError(
-                f"basis dimension {self.dim} exceeds the dense-algebra cap "
-                f"{max_dim}")
+                f"basis dimension {self.dim} exceeds the basis-size guard "
+                f"max_dim = {max_dim}")
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.occupancy = np.asarray(self.basis, dtype=np.int64)
 
@@ -268,43 +275,81 @@ def build_T(model: FockModel) -> OperatorMatrix:
 
 
 def _blocks(*matrices) -> list:
-    """Index sets (each sorted) of the connected components of the union of
-    the matrices' nonzero patterns: every matrix is block diagonal on them,
-    and an entry of any size joins its row and column into one block."""
-    pattern = sparse.csr_array(np.logical_or.reduce(
-        [m != 0 for m in matrices]))
+    """The connected components of the union of the sparse matrices' nonzero
+    patterns, grouped by size: one (n_blocks, s) array of basis indices per
+    block size s, each row one block in increasing order.  Every matrix is
+    block diagonal on them, and an entry of any size joins its row and
+    column into one block."""
+    dim = matrices[0].shape[0]
+    coos = [m.tocoo() for m in matrices]
+    rows = np.concatenate([c.row[c.data != 0] for c in coos])
+    cols = np.concatenate([c.col[c.data != 0] for c in coos])
+    pattern = sparse.csr_array((np.ones(rows.size), (rows, cols)),
+                               shape=(dim, dim))
     _, labels = connected_components(pattern, directed=False)
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    sizes = np.bincount(labels)
+    starts = np.cumsum(sizes) - sizes
+    return [order[starts[sizes == s][:, None] + np.arange(s)]
+            for s in np.unique(sizes)]
 
 
-def _block_diagonal(blocks, parts, dim: int) -> sparse.csr_array:
-    """The dim x dim matrix holding parts[b] on rows and columns blocks[b]."""
-    rows = np.concatenate([np.repeat(idx, idx.size) for idx in blocks])
-    cols = np.concatenate([np.tile(idx, idx.size) for idx in blocks])
-    data = np.concatenate([part.ravel() for part in parts])
+def _gather(m: sparse.csr_array, groups) -> list:
+    """m's blocks as one (n_blocks, s, s) stack per group of _blocks, filled
+    from its stored entries (m must be block diagonal on the groups)."""
+    group = np.empty(m.shape[0], dtype=np.intp)
+    block = np.empty_like(group)
+    place = np.empty_like(group)
+    for g, idx in enumerate(groups):
+        group[idx] = g
+        block[idx] = np.arange(idx.shape[0])[:, None]
+        place[idx] = np.arange(idx.shape[1])
+    coo = m.tocoo()
+    by_group = np.argsort(group[coo.row], kind="stable")
+    splits = np.cumsum(np.bincount(group[coo.row], minlength=len(groups)))
+    stacks = []
+    for idx, entries in zip(groups, np.split(by_group, splits[:-1])):
+        stack = np.zeros((idx.shape[0], idx.shape[1], idx.shape[1]),
+                         dtype=np.complex128)
+        r, c = coo.row[entries], coo.col[entries]
+        stack[block[r], place[r], place[c]] = coo.data[entries]
+        stacks.append(stack)
+    return stacks
+
+
+def _block_diagonal(groups, stacks, dim: int) -> sparse.csr_array:
+    """The dim x dim matrix holding stack[b] on rows and columns idx[b], for
+    every group idx of _blocks and its stack."""
+    rows = np.concatenate([np.repeat(idx, idx.shape[1]) for idx in groups])
+    cols = np.concatenate([np.tile(idx, idx.shape[1]).ravel()
+                           for idx in groups])
+    data = np.concatenate([stack.ravel() for stack in stacks])
     return sparse.csr_array((data, (rows, cols)), shape=(dim, dim))
 
 
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
 def unitary_from_generator(generator: np.ndarray, scale: float) -> np.ndarray:
-    """exp(i * scale * G) for hermitian G via eigendecomposition (exactly
-    unitary up to roundoff; backward error at the 1e-12 class of dense
-    scaling-and-squaring)."""
-    vals, vecs = sla.eigh(generator, driver="evr")
-    return (vecs * np.exp(1j * scale * vals)) @ vecs.conj().T
+    """exp(i * scale * G) for a hermitian G, or for each matrix of a stack
+    of them, via eigendecomposition (exactly unitary up to roundoff;
+    backward error at the 1e-12 class of dense scaling-and-squaring)."""
+    vals, vecs = np.linalg.eigh(generator)
+    return (vecs * np.exp(1j * scale * vals)[..., None, :]) @ _dagger(vecs)
 
 
 def dress_hamiltonian(model: FockModel, h: OperatorMatrix,
                       t: OperatorMatrix) -> OperatorMatrix:
     """U H U* with U = exp(i T / eps), built on each block of |H| + |T|
-    (U H U* vanishes outside them)."""
-    blocks = _blocks(h.matrix, t.matrix)
+    (U H U* vanishes outside them), one stack of equal-size blocks at a
+    time."""
+    groups = _blocks(h.csr, t.csr)
     parts = []
-    for idx in blocks:
-        sub = np.ix_(idx, idx)
-        u = unitary_from_generator(t.matrix[sub], 1.0 / model.eps)
-        parts.append(u @ h.matrix[sub] @ u.conj().T)
-    return OperatorMatrix(_block_diagonal(blocks, parts, h.dim),
+    for hs, ts in zip(_gather(h.csr, groups), _gather(t.csr, groups)):
+        u = unitary_from_generator(ts, 1.0 / model.eps)
+        parts.append(u @ hs @ _dagger(u))
+    return OperatorMatrix(_block_diagonal(groups, parts, h.dim),
                           hermitian=True)
 
 
@@ -374,15 +419,14 @@ def dressed_comparison(model: FockModel, n_cut: int | None = None) -> dict:
     if n_cut is None:
         n_cut = min(model.n_max_particles, model.n_max_phonons) // 2
     sel = model.low_occupancy_indices(n_cut)
-    block = np.ix_(sel, sel)
-    diff = conj.matrix[block] - assembled.matrix[block]
-    scale = np.linalg.norm(conj.matrix[block], 2)
+    restricted = conj.csr[sel][:, sel].toarray()
+    diff = restricted - assembled.csr[sel][:, sel].toarray()
     return {
         "conjugated": conj,
         "assembled": assembled,
         "parts": parts,
         "restricted_diff_norm": float(np.linalg.norm(diff, 2)),
-        "restricted_scale": float(scale),
+        "restricted_scale": float(np.linalg.norm(restricted, 2)),
         "n_cut": int(n_cut),
         "subspace_dim": int(sel.size),
     }
@@ -448,20 +492,19 @@ def mode_expectations(model: FockModel, state: np.ndarray) -> np.ndarray:
 
 
 class Propagator:
-    """exp(-i t H / eps) applied through one eigendecomposition per block of
-    H; the block eigenvectors form one sparse block-diagonal matrix, whose
-    column idx[k] holds eigenvector k of the block on idx."""
+    """exp(-i t H / eps) applied through one batched eigendecomposition per
+    block size of H; the block eigenvectors form one sparse block-diagonal
+    matrix, whose column idx[k] holds eigenvector k of the block on idx."""
 
     def __init__(self, h: OperatorMatrix, eps: float):
         self.eps = eps
-        m = h.matrix
-        blocks = _blocks(m)
+        groups = _blocks(h.csr)
         self.vals = np.empty(h.dim)
         vecs = []
-        for idx in blocks:
-            self.vals[idx], v = sla.eigh(m[np.ix_(idx, idx)], driver="evr")
+        for idx, stack in zip(groups, _gather(h.csr, groups)):
+            self.vals[idx], v = np.linalg.eigh(stack)
             vecs.append(v)
-        self.vecs = _block_diagonal(blocks, vecs, h.dim)
+        self.vecs = _block_diagonal(groups, vecs, h.dim)
         self._vecs_h = self.vecs.conj().T.tocsr()
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
@@ -567,7 +610,7 @@ def klmn_check(model: FockModel, n_samples: int = 1000, seed: int = 0,
     (a <= a_cap, C) dominates every sample (existence claim only)."""
     h0 = _coupled_hamiltonian(model, np.zeros(model.n_phonon_modes))
     comp = dress_hamiltonian(model, build_hamiltonian(model), build_T(model))
-    h_i = sparse.csr_array(comp.matrix) - h0
+    h_i = comp.csr - h0
     n1, _ = model.sector_totals()
     rng = np.random.default_rng(seed)
     xs, ys = [], []

@@ -82,8 +82,8 @@ def random_smooth_states(grid: SpectralGrid, n_states: int, seed: int,
             for i in range(n_states))
 
 
-_U_FAMILIES = ("zero", "gaussian", "random_smooth")
-_ALPHA_FAMILIES = ("zero", "gaussian", "shell", "random_smooth")
+U_FAMILIES = ("zero", "gaussian", "random_smooth")
+ALPHA_FAMILIES = ("zero", "gaussian", "shell", "random_smooth")
 
 
 def build_state(grid: SpectralGrid, params: dict, seed: int) -> PhasePoint:
@@ -102,7 +102,7 @@ def build_state(grid: SpectralGrid, params: dict, seed: int) -> PhasePoint:
         u = random_smooth_u(grid, rng, amplitude=params.get("u_amp", 0.5),
                             k_cut=params.get("k_cut", 1.0))
     else:
-        raise ValueError(f"unknown u family {fam_u!r}; choose from {_U_FAMILIES}")
+        raise ValueError(f"unknown u family {fam_u!r}; choose from {U_FAMILIES}")
 
     fam_a = params.get("alpha_family", "gaussian")
     if fam_a == "zero":
@@ -120,5 +120,5 @@ def build_state(grid: SpectralGrid, params: dict, seed: int) -> PhasePoint:
                                     k_cut=params.get("k_cut", 1.0))
     else:
         raise ValueError(
-            f"unknown alpha family {fam_a!r}; choose from {_ALPHA_FAMILIES}")
+            f"unknown alpha family {fam_a!r}; choose from {ALPHA_FAMILIES}")
     return PhasePoint(grid, u, alpha)

@@ -74,6 +74,30 @@ class TestConfig:
                      "--values", "1,0", "--outdir", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, minimum",
+                             [("evolution", "record_every", 1),
+                              ("scenario", "picard_nodes", 2),
+                              ("fock", "n_times", 2)])
+    def test_count_below_its_minimum_rejected(self, tmp_path, capsys,
+                                              section, key, minimum):
+        path = write_config(tmp_path, f"[{section}]\n{key} = {minimum - 1}\n")
+        assert main(["validate", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        path = write_config(tmp_path, f"[{section}]\n{key} = {minimum}\n")
+        assert main(["validate", str(path)]) == 0
+
+    def test_malformed_file_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[grid]\nn = 8\n[grid]\nn = 16\n")
+        assert main(["validate", str(path)]) == 2
+        assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["u_family", "alpha_family"])
+    def test_unknown_family_named(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, f"[initial]\n{key} = smooth\n")
+        assert main(["run", str(path), "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "smooth" in err and "random_smooth" in err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy import sparse
 
-from polaronlab import fock
 from polaronlab.fock import (
     BOHR_SLACK,
     KLMN_A_CAP,
@@ -177,6 +179,9 @@ class TestHamiltonians:
     def test_operator_matrix_validation(self):
         with pytest.raises(AssertionError):
             OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+        with pytest.raises(AssertionError):
+            OperatorMatrix(sparse.csr_array(([1.0j], ([0], [1])),
+                                            shape=(2, 2)), hermitian=True)
         with pytest.raises(ValueError):
             OperatorMatrix(np.zeros((2, 3)))
 
@@ -322,7 +327,9 @@ class TestEvolution:
         for coupling, blocks in ((0.0, [[0, 2, 4], [1, 3, 5]]),
                                  (1e-14, [list(range(6))])):
             m[4, 1] = m[1, 4] = coupling
-            assert sorted(b.tolist() for b in _blocks(m)) == blocks
+            found = [b.tolist() for group in _blocks(sparse.csr_array(m))
+                     for b in group]
+            assert sorted(found) == blocks
             prop = Propagator(OperatorMatrix(m, hermitian=True), eps)
             assert np.max(np.abs(prop.apply(psi, t) - dense(m))) < 1e-12
 
@@ -436,18 +443,43 @@ class TestKLMN:
 
 def test_eigh_sees_no_block_beyond_a_sector(monkeypatch):
     """The conjugation and the propagator diagonalise one (N1, P) sector at a
-    time, never the whole space."""
+    time, never the whole space: every eigh input, single matrix or stack,
+    is at most one sector wide."""
     shapes = []
-    eigh = fock.sla.eigh
 
-    def recording(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    def recording(eigh):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return eigh(a, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(fock.sla, "eigh", recording)
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "eigh", recording(scipy.linalg.eigh))
     model = chain(dk=1e-6)
     dressed_comparison(model)
     correspondence_experiment(chain, [0.5, 0.25], [0.2, 0.1, 0.0],
                               [0.15, 0.1], 0.5, n_times=3)
     _, sizes = sectors(model)
     assert shapes and max(max(s) for s in shapes) <= sizes.max() < model.dim
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stage", ["dressed_comparison", "propagator"])
+def test_no_dense_operator_is_built(stage):
+    """The conjugation and the propagator stay sparse: neither allocates as
+    much as one dense dim x dim complex matrix at any moment."""
+    model = chain(dk=1e-6)
+    run = {"dressed_comparison": lambda: dressed_comparison(model),
+           "propagator": lambda: Propagator(build_hamiltonian(model),
+                                            model.eps)}[stage]
+    run()
+    assert traced_peak(run) < 16 * model.dim**2
