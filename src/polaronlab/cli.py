@@ -89,7 +89,6 @@ SCHEMA = {
     "evolution": {
         "dt": (float, 1e-3),
         "t_final": (float, 1.0),
-        "scheme": (str, "strang-split"),
         "record_every": (_count(), 10),
     },
     "scenario": {
@@ -127,8 +126,9 @@ def load_config(path: str | Path) -> dict:
 
     Unknown sections or keys are rejected by name; every value is converted
     by the schema type.  Missing entries take defaults.  A file that is not
-    valid INI (a repeated section or key, a line outside any section) is a
-    config error too.
+    valid INI (a repeated section or key, a line outside any section), an
+    unknown scenario or an [evolution] section that EvolutionConfig rejects
+    is a config error too.
     """
     parser = configparser.ConfigParser()
     try:
@@ -147,7 +147,7 @@ def load_config(path: str | Path) -> dict:
             if key not in SCHEMA[sec]:
                 raise ConfigError(f"unknown key '{key}' in section [{sec}]")
             cfg[sec][key] = _convert(sec, key, raw)
-    _check_scenario(cfg["scenario"]["name"])
+    _check(cfg)
     return cfg
 
 
@@ -157,6 +157,16 @@ def _convert(sec: str, key: str, raw: str):
     except ValueError as exc:
         raise ConfigError(
             f"bad value for [{sec}] {key} = {raw!r}: {exc}") from exc
+
+
+def _check(cfg: dict) -> None:
+    """Reject what the runners would reject only later: an unknown scenario
+    or [evolution] values that EvolutionConfig refuses."""
+    _check_scenario(cfg["scenario"]["name"])
+    try:
+        dynamics.EvolutionConfig(**cfg["evolution"])
+    except ValueError as exc:
+        raise ConfigError(f"bad [evolution] section: {exc}") from exc
 
 
 def _check_scenario(name: str) -> None:
@@ -474,9 +484,11 @@ def main(argv=None) -> int:
             if section not in SCHEMA or key not in SCHEMA[section]:
                 raise ConfigError(f"unknown sweep parameter {args.param!r}")
             values = [v.strip() for v in args.values.split(",") if v.strip()]
+            cfg = load_config(args.config)
             jobs = []
             for v in values:
-                _convert(section, key, v)
+                cfg[section][key] = _convert(section, key, v)
+                _check(cfg)
                 outdir = Path(args.outdir) / f"{key}={v}"
                 jobs.append((args.config, outdir, args.seed, args.scenario,
                              section, key, v))

@@ -20,12 +20,9 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRow, diagnostics_row, max_relative_drift
 from .hamiltonians import (
-    GradientPair,
     drift_dalpha,
     drift_du,
-    grad_dressed,
     grad_dressed_interaction,
-    grad_undressed,
     pair_convolution,
     quadratic_dalpha,
 )
@@ -75,18 +72,17 @@ class SubstepConvergenceError(RuntimeError):
 class EvolutionConfig:
     dt: float
     t_final: float
-    scheme: str = "strang-split"
     record_every: int = 1
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_final < 0:
-            raise ValueError(f"horizon must be nonnegative, got {self.t_final}")
+            raise ValueError(
+                f"t_final must be nonnegative, got {self.t_final}")
         if self.record_every < 1:
-            raise ValueError(f"record stride must be >= 1, got {self.record_every}")
-        if self.scheme not in ("strang-split", "rk4-on-gradient"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(
+                f"record_every must be >= 1, got {self.record_every}")
 
     @property
     def n_steps(self) -> int:
@@ -123,9 +119,10 @@ class Trajectory:
 
 
 def free_flow(z: PhasePoint, t: float) -> PhasePoint:
-    """Exact free evolution (e^{it Laplacian} u, e^{-it} alpha)."""
+    """Exact free evolution (e^{it Laplacian} u, e^{-it} alpha), with the
+    electron propagator from SpectralGrid.free_phase."""
     g = z.grid
-    u = g.inverse(np.exp(-1j * t * g.k_sq) * g.fourier(z.u))
+    u = g.inverse(g.free_phase(t) * g.fourier(z.u))
     alpha = cmath.exp(-1j * t) * z.alpha
     return PhasePoint(g, u, alpha, check=False)
 
@@ -133,12 +130,7 @@ def free_flow(z: PhasePoint, t: float) -> PhasePoint:
 # -- Landau-Pekar splitting -------------------------------------------------------
 
 
-def _half_kinetic_multiplier(grid: SpectralGrid, dt: float) -> np.ndarray:
-    return np.exp(-0.5j * dt * grid.k_sq)
-
-
-def lp_step(z: PhasePoint, dt: float,
-            _mult: np.ndarray | None = None) -> PhasePoint:
+def lp_step(z: PhasePoint, dt: float) -> PhasePoint:
     """One Strang step of the Landau-Pekar flow.
 
     Half kinetic step, then an exact potential/phonon stage with the source
@@ -146,7 +138,7 @@ def lp_step(z: PhasePoint, dt: float,
     evaluated at the half-step phonon field, then the second kinetic half.
     """
     g = z.grid
-    mult = _half_kinetic_multiplier(g, dt) if _mult is None else _mult
+    mult = g.free_phase(0.5 * dt)
     u = g.inverse(mult * g.fourier(z.u))
 
     w = u.real**2 + u.imag**2
@@ -255,8 +247,7 @@ def _u_substep(grid: SpectralGrid, ff: FormFactorSet, u: np.ndarray,
     return mult_phase(u, 0.5 * h), big_w
 
 
-def dressed_step(z: PhasePoint, dt: float, ff: FormFactorSet,
-                 _mult: np.ndarray | None = None) -> PhasePoint:
+def dressed_step(z: PhasePoint, dt: float, ff: FormFactorSet) -> PhasePoint:
     """One Strang step of the dressed flow: exact free halves around the
     split interaction stage.
 
@@ -275,7 +266,7 @@ def dressed_step(z: PhasePoint, dt: float, ff: FormFactorSet,
     substep, which sees the same alpha.
     """
     g = z.grid
-    mult = _half_kinetic_multiplier(g, dt) if _mult is None else _mult
+    mult = g.free_phase(0.5 * dt)
     half_phase = cmath.exp(-0.5j * dt)
     uk = mult * g.fourier(z.u)
     u = g.inverse(uk)
@@ -285,17 +276,6 @@ def dressed_step(z: PhasePoint, dt: float, ff: FormFactorSet,
     alpha = _alpha_substep(g, ff, u, uk, alpha, 0.5 * dt, big_w)
     u = g.inverse(mult * uk)
     return PhasePoint(g, u, half_phase * alpha, check=False)
-
-
-# -- generic full-gradient RK4 scheme ----------------------------------------------
-
-
-def _full_rhs(grad_fn):
-    def rhs(_t: float, z: PhasePoint) -> PhasePoint:
-        grad: GradientPair = grad_fn(z)
-        return PhasePoint(z.grid, -1j * grad.du, -1j * grad.dalpha, check=False)
-
-    return rhs
 
 
 # -- evolution loops ----------------------------------------------------------------
@@ -322,32 +302,17 @@ def _evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
     return traj
 
 
-def _flow_evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
-                 collect: bool, strang_step, grad_fn) -> Trajectory:
-    if cfg.scheme == "strang-split":
-        mult = _half_kinetic_multiplier(z0.grid, cfg.dt)
-        stepper = lambda z: strang_step(z, mult)
-    else:
-        rhs = _full_rhs(grad_fn)
-        stepper = lambda z: _rk4_increment(z, cfg.dt, rhs)
-    return _evolve(z0, cfg, ff, stepper, collect)
-
-
 def lp_evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
               collect: bool = True) -> Trajectory:
     """Evolve the Landau-Pekar equations, recording diagnostics."""
-    return _flow_evolve(z0, cfg, ff, collect,
-                        lambda z, mult: lp_step(z, cfg.dt, _mult=mult),
-                        grad_undressed)
+    return _evolve(z0, cfg, ff, lambda z: lp_step(z, cfg.dt), collect)
 
 
 def dressed_evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
                    collect: bool = True) -> Trajectory:
     """Evolve the dressed Hamilton equations."""
-    return _flow_evolve(z0, cfg, ff, collect,
-                        lambda z, mult: dressed_step(z, cfg.dt, ff,
-                                                     _mult=mult),
-                        lambda z: grad_dressed(z, ff))
+    return _evolve(z0, cfg, ff, lambda z: dressed_step(z, cfg.dt, ff),
+                   collect)
 
 
 # -- interaction picture -------------------------------------------------------------

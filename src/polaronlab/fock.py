@@ -40,6 +40,8 @@ HERMITICITY_TOL = 1e-10
 EXPANSION_TOL = 1e-6
 KLMN_A_CAP = 0.9
 BOHR_SLACK = 1.1
+# relative and absolute tolerance of the DOP853 reference in classical_flow
+CLASSICAL_FLOW_TOL = 1e-12
 
 
 def _frobenius(m: sparse.csr_array) -> float:
@@ -470,13 +472,15 @@ def coherent_state(model: FockModel, particle_amps,
     return expm_multiply(gen / model.eps, vacuum(model))
 
 
-def weyl_operator(model: FockModel, mode_amps) -> np.ndarray:
-    """W(f) = exp(i phi(f)), phi(f) = (a(f) + a*(f))/sqrt(2), f given by its
-    amplitudes on all modes (particles first)."""
+def weyl_operator(model: FockModel, mode_amps, vectors) -> np.ndarray:
+    """W(f) applied to vectors (a state or a (dim, k) stack of them), with
+    W(f) = exp(i phi(f)), phi(f) = (a(f) + a*(f))/sqrt(2), f given by its
+    amplitudes on all modes (particles first).  expm_multiply works on the
+    sparse phi(f); no dim x dim array is built."""
     f = np.asarray(mode_amps, dtype=np.complex128)
     af = sum(np.conj(fm) * model._lower[m] for m, fm in enumerate(f))
     phi_f = (af + af.conj().T) / math.sqrt(2.0)
-    return unitary_from_generator(phi_f.toarray(), 1.0)
+    return expm_multiply(1j * phi_f, vectors)
 
 
 def expect(op, state: np.ndarray) -> complex:
@@ -531,8 +535,7 @@ def classical_rhs(model: FockModel, phi: np.ndarray,
     return -1j * dphi, -1j * dalp
 
 
-def classical_flow(model: FockModel, phi0, alp0, times,
-                   rtol: float = 1e-12, atol: float = 1e-12) -> np.ndarray:
+def classical_flow(model: FockModel, phi0, alp0, times) -> np.ndarray:
     """High-order reference integration of the finite-mode Hamiltonian ODE,
     returning mode amplitudes (particles first) at the requested times."""
     mp = model.n_particle_modes
@@ -548,7 +551,7 @@ def classical_flow(model: FockModel, phi0, alp0, times,
                          np.asarray(alp0, dtype=np.complex128)])
     y0 = np.concatenate([z0.real, z0.imag])
     sol = solve_ivp(rhs, (0.0, max(times)), y0, t_eval=times, method="DOP853",
-                    rtol=rtol, atol=atol)
+                    rtol=CLASSICAL_FLOW_TOL, atol=CLASSICAL_FLOW_TOL)
     if not sol.success:
         raise RuntimeError(f"classical reference flow failed: {sol.message}")
     out = sol.y[: mp + mf, :] + 1j * sol.y[mp + mf:, :]

@@ -89,19 +89,15 @@ class MeshTrajectory:
     @classmethod
     def from_free_flow(cls, z0: PhasePoint, t_final: float,
                        n_nodes: int) -> "MeshTrajectory":
-        """free_flow(z0, t) at every node, from one forward transform of u0
-        and one inverse call per stack of nodes.  The kinetic phases are
-        taken on the distinct values of |k|^2 and spread over the lattice,
-        the same numbers free_flow computes."""
+        """free_flow(z0, t) at every node, from one forward transform of u0,
+        one SpectralGrid.free_phase stack and one inverse call per stack of
+        nodes: the same numbers free_flow computes."""
         times = np.linspace(0.0, t_final, n_nodes)
         g = z0.grid
         u0_k = g.fourier(z0.u)
-        k_sq, where = np.unique(g.k_sq, return_inverse=True)
-        where = where.reshape(g.shape)
         u = np.empty((n_nodes,) + g.shape, dtype=np.complex128)
         for c in _chunks(n_nodes, g):
-            kin = np.exp(-1j * times[c, None] * k_sq)
-            np.multiply(kin[:, where], u0_k, out=u[c])
+            np.multiply(g.free_phase(times[c]), u0_k, out=u[c])
             u[c] = g.inverse(u[c], scratch=True)
         phases = np.array([cmath.exp(-1j * t) for t in times])
         alpha = phases.reshape((-1,) + (1,) * g.d) * z0.alpha
@@ -131,8 +127,8 @@ def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
 
         y_i = K (y_{i-1} + q_{i-1}) + q_i,    q = -i (dt/2) g,
 
-    for the electron in k-space (K the kinetic multiplier) and for the
-    phonon (K the phase e^{-i dt}).  For each stack of nodes, one call
+    for the electron in k-space (K = SpectralGrid.free_phase(dt)) and for
+    the phonon (K the phase e^{-i dt}).  For each stack of nodes, one call
     transforms each integrand, the recurrence writes y node by node into
     the output, and one inverse call brings the electron stack back to
     x-space in place.
@@ -143,7 +139,7 @@ def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
     times = candidate.times
     n = len(times)
     dt = times[1] - times[0] if n > 1 else 0.0
-    kin_step = np.exp(-1j * dt * g.k_sq)
+    kin_step = g.free_phase(dt)
     phase_step = cmath.exp(-1j * dt)
 
     out_u = np.empty_like(candidate.u)
@@ -213,27 +209,25 @@ def picard_solve(z0: PhasePoint, t_final: float, tol: float = 1e-12,
     return PicardResult(current, diffs, ratios, max_iter, False)
 
 
-def measure_contraction(z0: PhasePoint, t_final: float, n_nodes: int = 129,
-                        n_ratios: int = N_RATIOS) -> list:
-    """First few successive-difference ratios of the iteration at horizon T
-    (fewer once it reaches roundoff)."""
+def measure_contraction(z0: PhasePoint, t_final: float,
+                        n_nodes: int = 129) -> list:
+    """First N_RATIOS successive-difference ratios of the iteration at
+    horizon T (fewer once it reaches roundoff)."""
     return picard_solve(z0, t_final, tol=1e-13, n_nodes=n_nodes,
-                        max_iter=n_ratios + 1).ratios
+                        max_iter=N_RATIOS + 1).ratios
 
 
 def find_contraction_time(z0: PhasePoint, t_start: float = 0.4,
-                          ratio_target: float = RATIO_TARGET,
-                          n_ratios: int = N_RATIOS,
                           n_nodes: int = 129, bisect_steps: int = 8) -> float:
     """Largest horizon (up to bisection resolution) on which the first
-    n_ratios successive-iterate ratios all stay below ratio_target."""
+    N_RATIOS successive-iterate ratios all stay below RATIO_TARGET."""
 
     def ok(t: float) -> bool:
         try:
-            ratios = measure_contraction(z0, t, n_nodes, n_ratios)
+            ratios = measure_contraction(z0, t, n_nodes)
         except PicardDivergenceError:
             return False
-        return len(ratios) > 0 and all(r <= ratio_target for r in ratios)
+        return len(ratios) > 0 and all(r <= RATIO_TARGET for r in ratios)
 
     t = t_start
     while not ok(t):

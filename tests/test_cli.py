@@ -1,10 +1,13 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polaronlab.cli import ConfigError, load_config, main, run_scenario
+from polaronlab.cli import (SCHEMA, ConfigError, _convert, load_config, main,
+                            run_scenario)
 from polaronlab.initial_data import build_state
 from polaronlab.spectral import build_grid
 
@@ -86,6 +89,28 @@ class TestConfig:
         path = write_config(tmp_path, f"[{section}]\n{key} = {minimum}\n")
         assert main(["validate", str(path)]) == 0
 
+    @pytest.mark.parametrize("key, value, good", [("dt", "0", "1e-2"),
+                                                  ("dt", "-1e-2", "1e-2"),
+                                                  ("t_final", "-1", "0.1")])
+    def test_evolution_values_rejected_before_any_run(self, tmp_path, capsys,
+                                                      key, value, good):
+        path = write_config(tmp_path, f"[evolution]\n{key} = {value}\n")
+        assert main(["validate", str(path)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        # a sweep checks every value before it starts any worker
+        path = write_config(tmp_path, MINI.format(name="free"))
+        outdir = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--param", f"evolution.{key}",
+                     "--values", f"{good},{value}",
+                     "--outdir", str(outdir)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_scheme_is_an_unknown_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[evolution]\nscheme = strang-split\n")
+        assert main(["validate", str(path)]) == 2
+        assert "unknown key 'scheme'" in capsys.readouterr().err
+
     def test_malformed_file_is_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "[grid]\nn = 8\n[grid]\nn = 16\n")
         assert main(["validate", str(path)]) == 2
@@ -101,6 +126,35 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")),
+                             ids=lambda p: p.name)
+    def test_loads(self, path):
+        load_config(path)
+
+    def test_schema_lists_every_key_with_its_default(self):
+        """Every SCHEMA key is a line of schema.ini holding its default; a
+        key without one (default None) is a commented-out example."""
+        live, commented, section = {}, set(), None
+        for line in (CONFIGS / "schema.ini").read_text().splitlines():
+            if m := re.fullmatch(r"\[(\w+)\]", line):
+                section = m[1]
+            elif m := re.fullmatch(r"(; )?(\w+) = (.*)", line):
+                if m[1]:
+                    commented.add((section, m[2]))
+                else:
+                    live[section, m[2]] = m[3]
+        defaults = {(sec, key): d for sec, keys in SCHEMA.items()
+                    for key, (_, d) in keys.items()}
+        assert commented == {k for k, d in defaults.items() if d is None}
+        assert set(live) == {k for k, d in defaults.items() if d is not None}
+        for (sec, key), raw in live.items():
+            assert _convert(sec, key, raw) == defaults[sec, key], (sec, key)
 
 
 class TestRun:

@@ -346,3 +346,18 @@ def test_f_inf_matches_table(grid8):
     assert np.array_equal(ff.f, grid8.f_inf)
     assert np.array_equal(
         form_factor_f(grid8.k_mag, 3, math.inf), grid8.f_inf)
+
+
+@pytest.mark.parametrize("d, n, length", [(1, 16, 10.0), (2, 12, 7.0),
+                                          (3, 16, 16.0)])
+def test_free_phase_is_the_lattice_exp(d, n, length):
+    """free_phase exponentiates the distinct |k|^2 only; its tables equal the
+    exp over the full lattice bit for bit."""
+    g = build_grid(d, n, length)
+    for t in (0.0, 0.37, -1.3):
+        assert np.array_equal(g.free_phase(t), np.exp(-1j * t * g.k_sq))
+    times = np.linspace(-0.5, 2.0, 7)
+    stack = g.free_phase(times)
+    assert stack.shape == times.shape + g.shape
+    for t, phase in zip(times, stack):
+        assert np.array_equal(phase, np.exp(-1j * t * g.k_sq))
