@@ -197,18 +197,7 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-def _write_trajectory(outdir: Path, traj) -> dict:
-    write_csv(outdir / "trajectory.csv", TRAJECTORY_COLUMNS,
-              [{c: d.get(c, 0.0) for c in TRAJECTORY_COLUMNS}
-               for d in (r.as_dict() for r in traj.rows)])
-    return {
-        "mass_drift": diagnostics.max_relative_drift(
-            [r.mass for r in traj.rows]),
-        "records": len(traj),
-    }
-
-
-# -- scenario runners ---------------------------------------------------------------
+# -- scenario figures ---------------------------------------------------------------
 
 
 def _grid_and_ff(cfg):
@@ -230,41 +219,35 @@ def _random_states(cfg, g, seed):
                                 k_cut=ini["k_cut"])
 
 
-def _emit(outdir: Path, csv_name: str, columns, figure) -> dict:
-    """Write the rows of an (info, verdicts, rows) figure; return the rest."""
-    info, verdicts, rows = figure
-    write_csv(outdir / csv_name, columns, rows)
-    return {"info": info, "verdicts": verdicts}
+def _trajectory(traj, energy) -> tuple:
+    """dynamics.conservation of traj, its rows given 0.0 for the Strichartz
+    columns, which have no norms below d = 3."""
+    info, verdicts, rows = dynamics.conservation(traj, energy)
+    return info, verdicts, [{c: r.get(c, 0.0) for c in TRAJECTORY_COLUMNS}
+                            for r in rows]
 
 
-def run_free(cfg, outdir, seed):
+def run_free(cfg, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
     ecfg = dynamics.EvolutionConfig(**cfg["evolution"])
-    stride = ecfg.dt * ecfg.record_every
-    n_records = int(round(ecfg.t_final / stride))
+    n = ecfg.n_steps
     traj = dynamics.Trajectory()
-    for i in range(n_records + 1):
-        t = i * stride
+    # the records of dynamics._evolve: every record_every steps and the last
+    for step in [*range(0, n, ecfg.record_every), n]:
+        t = step * ecfg.dt
         zt = dynamics.free_flow(z0, t)
         traj.append(t, zt, diagnostics.diagnostics_row(zt, ff, t))
-    info = _write_trajectory(outdir, traj)
-    verdicts = {
-        "mass_exact": info["mass_drift"] < 1e-12,
-        "kinetic_exact": diagnostics.max_relative_drift(
-            [r.h.kinetic for r in traj.rows]) < 1e-12,
-    }
-    return {"info": info, "verdicts": verdicts}
+    info, _, rows = _trajectory(traj, lambda r: r.h.kinetic)
+    kinetic_drift = info.pop("energy_drift")
+    return info, {"mass_exact": info["mass_drift"] < 1e-12,
+                  "kinetic_exact": kinetic_drift < 1e-12}, rows
 
 
 def _flow_runner(evolve, energy):
-    def run(cfg, outdir, seed):
+    def run(cfg, seed):
         g, ff, z0 = _grid_and_state(cfg, seed)
-        traj = evolve(z0, dynamics.EvolutionConfig(**cfg["evolution"]), ff)
-        info = _write_trajectory(outdir, traj)
-        info["energy_drift"] = diagnostics.max_relative_drift(
-            [energy(r) for r in traj.rows])
-        return {"info": info, "verdicts": {
-            "mass_conserved": info["mass_drift"] < dynamics.MASS_DRIFT_TOL}}
+        ecfg = dynamics.EvolutionConfig(**cfg["evolution"])
+        return _trajectory(evolve(z0, ecfg, ff), energy)
 
     return run
 
@@ -273,48 +256,40 @@ run_lp = _flow_runner(dynamics.lp_evolve, lambda r: r.h.total)
 run_dressed = _flow_runner(dynamics.dressed_evolve, lambda r: r.hhat.total)
 
 
-def run_energy_order(cfg, outdir, seed):
+def run_energy_order(cfg, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
-    return _emit(outdir, "energy_order.csv", ("flow", "dt", "energy_drift"),
-                 dynamics.energy_order(z0, ff, cfg["scenario"]["dt_levels"],
-                                       cfg["evolution"]["t_final"]))
+    return dynamics.energy_order(z0, ff, cfg["scenario"]["dt_levels"],
+                                 cfg["evolution"]["t_final"])
 
 
-def run_conjugation(cfg, outdir, seed):
+def run_conjugation(cfg, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
-    return _emit(outdir, "conjugation.csv", ("dt", "t", "error"),
-                 dressing.conjugation_order(z0, ff,
-                                            cfg["scenario"]["dt_levels"],
-                                            cfg["scenario"]["t_sample"]))
+    return dressing.conjugation_order(z0, ff, cfg["scenario"]["dt_levels"],
+                                      cfg["scenario"]["t_sample"])
 
 
-def run_dressed_identity(cfg, outdir, seed):
+def run_dressed_identity(cfg, seed):
     g, ff = _grid_and_ff(cfg)
-    return _emit(outdir, "dressed_identity.csv", ("state", "residual"),
-                 dressing.identity_residuals(ff, _random_states(cfg, g, seed)))
+    return dressing.identity_residuals(ff, _random_states(cfg, g, seed))
 
 
-def run_gradient_check(cfg, outdir, seed):
+def run_gradient_check(cfg, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
-    return _emit(outdir, "gradient_check.csv",
-                 ("functional", "direction", "rel_error"),
-                 hamiltonians.gradient_check(
-                     z0, ff, cfg["scenario"]["n_directions"],
-                     np.random.default_rng(seed + 1),
-                     h=cfg["scenario"]["fd_step"]))
+    return hamiltonians.gradient_check(z0, ff, cfg["scenario"]["n_directions"],
+                                       np.random.default_rng(seed + 1),
+                                       h=cfg["scenario"]["fd_step"])
 
 
-def run_picard(cfg, outdir, seed):
+def run_picard(cfg, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
     sc = cfg["scenario"]
-    return _emit(outdir, "picard.csv", ("n", "ratio"),
-                 picard.contraction_check(
-                     z0, ff, t_start=sc["picard_t_start"],
-                     n_nodes=sc["picard_nodes"],
-                     match_nodes=sc["picard_nodes"], dt=sc["picard_dt"]))
+    return picard.contraction_check(
+        z0, ff, t_start=sc["picard_t_start"], n_nodes=sc["picard_nodes"],
+        match_nodes=sc["picard_nodes"], dt=sc["picard_dt"])
 
 
-def run_strichartz(cfg, outdir, seed):
+def run_strichartz(cfg, seed):
+    """Below d = 3 there are no interpolation residuals and no rows."""
     g, ff, z0 = _grid_and_state(cfg, seed)
     ecfg = dynamics.EvolutionConfig(**cfg["evolution"])
     report = picard.strichartz_report(dynamics.lp_evolve(z0, ecfg, ff))
@@ -322,15 +297,14 @@ def run_strichartz(cfg, outdir, seed):
                  if isinstance(v, float))
     info = {"report": report, "worst_interpolation_residual": None}
     verdicts = {"norms_finite": bool(finite)}
-    if g.d >= 3:
-        interp = _emit(outdir, "interpolation.csv", ("state", "residual"),
-                       picard.interpolation_residuals(
-                           _random_states(cfg, g, seed + 1000)))
-        worst = interp["info"]["worst_residual"]
-        if not math.isinf(worst):
-            info["worst_interpolation_residual"] = worst
-        verdicts.update(interp["verdicts"])
-    return {"info": info, "verdicts": verdicts}
+    if g.d < 3:
+        return info, verdicts, None
+    interp, interp_verdicts, rows = picard.interpolation_residuals(
+        _random_states(cfg, g, seed + 1000))
+    if not math.isinf(interp["worst_residual"]):
+        info["worst_interpolation_residual"] = interp["worst_residual"]
+    verdicts.update(interp_verdicts)
+    return info, verdicts, rows
 
 
 def _fock_model(cfg, eps=None, dk=None):
@@ -349,59 +323,61 @@ def _quantity_rows(rep: dict, keys) -> list:
     return [{"quantity": k, "value": rep[k]} for k in keys]
 
 
-def run_fock_lemma(cfg, outdir, seed):
+def run_fock_lemma(cfg, seed):
     rep = fock.dressed_comparison(_fock_model(cfg, dk=cfg["fock"]["lemma_dk"]))
-    write_csv(outdir / "fock_lemma.csv", ("quantity", "value"),
-              _quantity_rows(rep, ("restricted_diff_norm", "restricted_scale",
-                                   "subspace_dim")))
     info = {k: rep[k] for k in ("restricted_diff_norm", "restricted_scale",
                                 "n_cut", "subspace_dim")}
-    return {"info": info,
-            "verdicts": {"dressed_expansion":
-                         rep["restricted_diff_norm"] < fock.EXPANSION_TOL}}
+    return (info, {"dressed_expansion": rep["expansion_holds"]},
+            _quantity_rows(rep, ("restricted_diff_norm", "restricted_scale",
+                                 "subspace_dim")))
 
 
-def run_fock_correspondence(cfg, outdir, seed):
+def run_fock_correspondence(cfg, seed):
     f = cfg["fock"]
     res = fock.correspondence_experiment(
         lambda eps: _fock_model(cfg, eps=eps),
         list(f["eps_list"]), list(f["phi0"]), list(f["alpha0"]),
         f["t_final"], n_times=f["n_times"])
-    write_csv(outdir / "correspondence.csv", ("eps", "t", "error"),
-              [{"eps": eps, "t": t, "error": e}
-               for eps, errs in res["errors"].items()
-               for t, e in zip(res["times"], errs)])
-    return {"info": {"eps": res["eps"], "final_errors": res["final_errors"]},
-            "verdicts": {"monotone_in_eps": res["monotone"]}}
+    return ({"eps": res["eps"], "final_errors": res["final_errors"]},
+            {"monotone_in_eps": res["monotone"]},
+            [{"eps": eps, "t": t, "error": e}
+             for eps, errs in res["errors"].items()
+             for t, e in zip(res["times"], errs)])
 
 
-def run_fock_klmn(cfg, outdir, seed):
+def run_fock_klmn(cfg, seed):
     rep = fock.klmn_check(_fock_model(cfg),
                           n_samples=cfg["fock"]["klmn_samples"], seed=seed)
-    write_csv(outdir / "fock_klmn.csv", ("quantity", "value"),
-              _quantity_rows(rep, ("a", "C", "norm_kB_sq")))
-    return {"info": rep, "verdicts": {"form_bound": bool(rep["satisfied"])}}
+    return (rep, {"form_bound": bool(rep["satisfied"])},
+            _quantity_rows(rep, ("a", "C", "norm_kB_sq")))
 
 
+# scenario -> (figure, CSV name, CSV columns); figure(cfg, seed) returns
+# (info, verdicts, rows), and run_scenario writes the rows as that CSV
 RUNNERS = {
-    "free": run_free,
-    "lp": run_lp,
-    "dressed": run_dressed,
-    "energy_order": run_energy_order,
-    "conjugation": run_conjugation,
-    "dressed_identity": run_dressed_identity,
-    "gradient_check": run_gradient_check,
-    "picard": run_picard,
-    "strichartz": run_strichartz,
-    "fock_lemma": run_fock_lemma,
-    "fock_correspondence": run_fock_correspondence,
-    "fock_klmn": run_fock_klmn,
+    "free": (run_free, "trajectory.csv", TRAJECTORY_COLUMNS),
+    "lp": (run_lp, "trajectory.csv", TRAJECTORY_COLUMNS),
+    "dressed": (run_dressed, "trajectory.csv", TRAJECTORY_COLUMNS),
+    "energy_order": (run_energy_order, "energy_order.csv",
+                     ("flow", "dt", "energy_drift")),
+    "conjugation": (run_conjugation, "conjugation.csv", ("dt", "t", "error")),
+    "dressed_identity": (run_dressed_identity, "dressed_identity.csv",
+                         ("state", "residual")),
+    "gradient_check": (run_gradient_check, "gradient_check.csv",
+                       ("functional", "direction", "rel_error")),
+    "picard": (run_picard, "picard.csv", ("n", "ratio")),
+    "strichartz": (run_strichartz, "interpolation.csv", ("state", "residual")),
+    "fock_lemma": (run_fock_lemma, "fock_lemma.csv", ("quantity", "value")),
+    "fock_correspondence": (run_fock_correspondence, "correspondence.csv",
+                            ("eps", "t", "error")),
+    "fock_klmn": (run_fock_klmn, "fock_klmn.csv", ("quantity", "value")),
 }
 
 
 def run_scenario(cfg: dict, outdir: str | Path, seed: int | None = None,
                  scenario: str | None = None) -> dict:
-    """Execute one scenario and write its artifacts; returns the summary."""
+    """Execute one scenario and write its CSV and summary.json; returns the
+    summary."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     name = scenario or cfg["scenario"]["name"]
@@ -409,14 +385,18 @@ def run_scenario(cfg: dict, outdir: str | Path, seed: int | None = None,
     used_seed = cfg["initial"]["seed"] if seed is None else seed
     summary = {"scenario": name, "seed": used_seed,
                "csv_schema": CSV_SCHEMA_VERSION}
+    figure, csv_name, columns = RUNNERS[name]
     try:
-        result = RUNNERS[name](cfg, outdir, used_seed)
-        summary.update(result)
-        summary["passed"] = all(result["verdicts"].values())
+        info, verdicts, rows = figure(cfg, used_seed)
     except dynamics.BlowUpError as exc:
         summary["blow_up"] = {"step": exc.step, "t": exc.t, "peak": exc.peak}
         summary["verdicts"] = {"no_blow_up": False}
         summary["passed"] = False
+    else:
+        if rows is not None:
+            write_csv(outdir / csv_name, columns, rows)
+        summary.update(info=info, verdicts=verdicts,
+                       passed=all(verdicts.values()))
     (outdir / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary

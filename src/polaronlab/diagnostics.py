@@ -62,11 +62,10 @@ def diagnostics_row(z: PhasePoint, ff: FormFactorSet, t: float) -> DiagnosticsRo
                           hhat=h_dressed(z, ff), lq=lq)
 
 
-def relative_drift(values, reference: float | None = None) -> np.ndarray:
-    """Drift relative to the first value, normalized by 1 + |reference|."""
+def relative_drift(values) -> np.ndarray:
+    """Drift relative to the first value, normalized by 1 + |first value|."""
     v = np.asarray(values, dtype=np.float64)
-    ref = v[0] if reference is None else reference
-    return (v - ref) / (1.0 + abs(ref))
+    return (v - v[0]) / (1.0 + abs(v[0]))
 
 
 def max_relative_drift(values) -> float:

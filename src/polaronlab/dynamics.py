@@ -35,6 +35,8 @@ from .spectral import (
 
 BLOWUP_FACTOR = 1e6
 MASS_DRIFT_TOL = 1e-8
+SUBSTEP_TOL = 1e-8
+SUBSTEP_MAX_ITER = 12
 # halving dt divides a second-order energy drift by a factor in this window
 ENERGY_ORDER_WINDOW = (3.0, 5.0)
 
@@ -83,13 +85,15 @@ class EvolutionConfig:
         if self.record_every < 1:
             raise ValueError(
                 f"record_every must be >= 1, got {self.record_every}")
+        if abs(self.n_steps * self.dt - self.t_final) \
+                > 1e-9 * max(1.0, self.t_final):
+            raise ValueError(
+                f"t_final must be a whole number of dt steps, got "
+                f"t_final = {self.t_final}, dt = {self.dt}")
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.t_final / self.dt))
-        if abs(n * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
-            raise ValueError("t_final must be an integer multiple of dt")
-        return n
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass
@@ -192,8 +196,7 @@ def _alpha_substep(grid: SpectralGrid, ff: FormFactorSet, u: np.ndarray,
 
 
 def _u_substep(grid: SpectralGrid, ff: FormFactorSet, u: np.ndarray,
-               alpha: np.ndarray, h: float, tol: float = 1e-8,
-               max_iter: int = 12) -> tuple:
+               alpha: np.ndarray, h: float) -> tuple:
     """Electron substage with the phonon field frozen, split once more into
     exact multiplication phases around an implicit-midpoint drift step.
 
@@ -223,23 +226,23 @@ def _u_substep(grid: SpectralGrid, ff: FormFactorSet, u: np.ndarray,
 
     u = mult_phase(u, 0.5 * h)
     # fixed point of the midpoint equation; the map contracts at rate
-    # (h/2)||drift||.  It stops when the last update is below tol ||u||, a
-    # fixed tolerance with no h dependence.  The exact midpoint conserves
-    # the mass, but the fixed point cut there moves it by up to 2e-9 of the
-    # mass a step on the under-resolved standard data; the norm projection
-    # afterwards takes that defect out, which is cheaper than the 1.4 more
-    # updates a step that converging it away would take there.
+    # (h/2)||drift||.  It stops when the last update is below SUBSTEP_TOL
+    # ||u||, a fixed tolerance with no h dependence.  The exact midpoint
+    # conserves the mass, but the fixed point cut there moves it by up to
+    # 2e-9 of the mass a step on the under-resolved standard data; the norm
+    # projection afterwards takes that defect out, which is cheaper than the
+    # 1.4 more updates a step that converging it away would take there.
     norm_in = g.norm_x(u)
     scale = max(norm_in, 1e-30)
     mid = midpoint_map(u)
-    for _ in range(max_iter):
+    for _ in range(SUBSTEP_MAX_ITER):
         new_mid = midpoint_map(mid)
         update = g.norm_x(new_mid - mid)
         mid = new_mid
-        if update <= tol * scale:
+        if update <= SUBSTEP_TOL * scale:
             break
     else:
-        raise SubstepConvergenceError(h, max_iter, update / scale)
+        raise SubstepConvergenceError(h, SUBSTEP_MAX_ITER, update / scale)
     u = 2.0 * mid - u
     norm_out = g.norm_x(u)
     if norm_out > 0.0:
@@ -315,6 +318,19 @@ def dressed_evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
                    collect)
 
 
+def conservation(traj: Trajectory, energy) -> tuple:
+    """Mass and energy drifts of a recorded trajectory, as (info, verdicts,
+    rows); energy(row) reads the flow's conserved energy off a diagnostics
+    row, and rows are the diagnostics rows as dicts."""
+    info = {
+        "mass_drift": max_relative_drift([r.mass for r in traj.rows]),
+        "records": len(traj),
+        "energy_drift": max_relative_drift([energy(r) for r in traj.rows]),
+    }
+    return (info, {"mass_conserved": info["mass_drift"] < MASS_DRIFT_TOL},
+            [r.as_dict() for r in traj.rows])
+
+
 # -- interaction picture -------------------------------------------------------------
 
 
@@ -363,7 +379,7 @@ def energy_order(z0: PhasePoint, ff: FormFactorSet, dt_levels,
             record_every=max(1, int(round(t_final / dt / 20))))
         for name, evolve, energy in flows:
             traj = evolve(z0, cfg, ff)
-            drift = max_relative_drift([energy(r) for r in traj.rows])
+            drift = conservation(traj, energy)[0]["energy_drift"]
             drifts[name].append(drift)
             rows.append({"flow": name, "dt": dt, "energy_drift": drift})
     info = {"drifts": drifts}

@@ -410,26 +410,28 @@ def assemble_dressed(model: FockModel) -> dict:
             "drift": drift, "constant": constant, "total": total}
 
 
-def dressed_comparison(model: FockModel, n_cut: int | None = None) -> dict:
+def dressed_comparison(model: FockModel) -> dict:
     """Conjugated U H U* versus the term-assembled expansion, compared on
-    the sub-basis with total occupancy <= n_cut (default n_max/2)."""
+    the sub-basis with total occupancy <= n_cut = n_max/2; expansion_holds
+    when their difference there is below EXPANSION_TOL."""
     h = build_hamiltonian(model)
     t = build_T(model)
     conj = dress_hamiltonian(model, h, t)
     parts = assemble_dressed(model)
     assembled = OperatorMatrix(parts["total"], hermitian=True)
-    if n_cut is None:
-        n_cut = min(model.n_max_particles, model.n_max_phonons) // 2
+    n_cut = min(model.n_max_particles, model.n_max_phonons) // 2
     sel = model.low_occupancy_indices(n_cut)
     restricted = conj.csr[sel][:, sel].toarray()
     diff = restricted - assembled.csr[sel][:, sel].toarray()
+    diff_norm = float(np.linalg.norm(diff, 2))
     return {
         "conjugated": conj,
         "assembled": assembled,
         "parts": parts,
-        "restricted_diff_norm": float(np.linalg.norm(diff, 2)),
+        "restricted_diff_norm": diff_norm,
+        "expansion_holds": diff_norm < EXPANSION_TOL,
         "restricted_scale": float(np.linalg.norm(restricted, 2)),
-        "n_cut": int(n_cut),
+        "n_cut": n_cut,
         "subspace_dim": int(sel.size),
     }
 

@@ -290,7 +290,8 @@ def contraction_check(z0: PhasePoint, ff: FormFactorSet, t_start: float,
 
 def strichartz_report(traj: Trajectory) -> dict:
     """Discrete L^p_t L^q_x norms over the recorded trajectory for the
-    admissible pairs used in the well-posedness analysis.
+    admissible pairs used in the well-posedness analysis, from the L^q_x
+    norms that its diagnostics rows hold.
 
     For d < 3 the exponent table degenerates and a not-applicable marker is
     returned instead.
@@ -304,7 +305,7 @@ def strichartz_report(traj: Trajectory) -> dict:
     times = np.asarray(traj.times)
     out = {"applicable": True, "dimension": d}
     for p, q in pairs:
-        vals = np.array([z.grid.lq_norm_x(z.u, q) for z in traj.states])
+        vals = np.array([r.lq[pair_label(p, q)] for r in traj.rows])
         out[pair_label(p, q)] = float(np.trapezoid(vals**p, times) ** (1.0 / p))
     return out
 

@@ -89,9 +89,10 @@ class TestConfig:
         path = write_config(tmp_path, f"[{section}]\n{key} = {minimum}\n")
         assert main(["validate", str(path)]) == 0
 
-    @pytest.mark.parametrize("key, value, good", [("dt", "0", "1e-2"),
-                                                  ("dt", "-1e-2", "1e-2"),
-                                                  ("t_final", "-1", "0.1")])
+    @pytest.mark.parametrize("key, value, good",
+                             [("dt", "0", "1e-2"), ("dt", "-1e-2", "1e-2"),
+                              ("t_final", "-1", "0.1"),
+                              ("t_final", "0.0105", "0.1")])
     def test_evolution_values_rejected_before_any_run(self, tmp_path, capsys,
                                                       key, value, good):
         path = write_config(tmp_path, f"[evolution]\n{key} = {value}\n")
@@ -204,6 +205,21 @@ class TestRun:
         path = write_config(tmp_path, MINI.format(name="free"))
         assert main(["validate", str(path)]) == 0
 
+    def test_free_records_on_the_flow_schedule(self, tmp_path):
+        """free records every record_every steps and the last step, as the
+        lp flow does, also when the last stride is short."""
+        body = MINI.replace("t_final = 0.1\nrecord_every = 5",
+                            "t_final = 0.15\nrecord_every = 10")
+        times = {}
+        for name in ("free", "lp"):
+            (tmp_path / name).mkdir()
+            run_body(tmp_path / name, body.format(name=name))
+            csv = (tmp_path / name / "out" / "trajectory.csv").read_text()
+            times[name] = [line.split(",")[0]
+                           for line in csv.splitlines()[2:]]
+        assert times["free"] == times["lp"]
+        assert float(times["free"][-1]) == pytest.approx(0.15)
+
     def test_scenario_override(self, tmp_path):
         path = write_config(tmp_path, MINI.format(name="lp"))
         code = main(["run", str(path), "--outdir", str(tmp_path / "out"),
@@ -219,8 +235,10 @@ SMOOTH = ("[initial]\nu_family = random_smooth\n"
 FOCK = "[scenario]\nname = {}\n[fock]\nn_max_particles = {n}\n" \
     "n_max_phonons = {n}\nklmn_samples = 100\n"
 
-# tiny configs of the scenarios that no other test runs, with their series
+# a tiny config of every scenario, with the CSV it writes
 TINY = {
+    "free": (MINI.format(name="free"), "trajectory.csv"),
+    "lp": (MINI.format(name="lp"), "trajectory.csv"),
     "dressed": (MINI.format(name="dressed"), "trajectory.csv"),
     "energy_order": (MINI.format(name="energy_order")
                      + SMOOTH.format(0.5, 0.3, 0.5), "energy_order.csv"),
@@ -228,8 +246,16 @@ TINY = {
                     "name = conjugation\nt_sample = 0.2\n"
                     "dt_levels = 2e-2,1e-2,5e-3\n"
                     + SMOOTH.format(0.4, 0.25, 0.35), "conjugation.csv"),
+    "dressed_identity": ("[grid]\nn = 16\nlength = 16.0\n[scenario]\n"
+                         "name = dressed_identity\nn_states = 5\n",
+                         "dressed_identity.csv"),
+    "gradient_check": (MINI.format(name="gradient_check")
+                       + "n_directions = 10\n" + SMOOTH.format(0.5, 0.3, 0.6),
+                       "gradient_check.csv"),
     "picard": (MINI.format(name="picard") + "picard_nodes = 129\n"
                + SMOOTH.format(0.2, 0.12, 0.5), "picard.csv"),
+    "strichartz": (MINI.format(name="strichartz") + "n_states = 10\n",
+                   "interpolation.csv"),
     "fock_lemma": (FOCK.format("fock_lemma", n=2), "fock_lemma.csv"),
     "fock_correspondence": (FOCK.format("fock_correspondence", n=4),
                             "correspondence.csv"),
@@ -244,29 +270,27 @@ def run_body(tmp_path, body, **scenario):
 
 
 class TestScenarios:
-    def test_gradient_check_scenario(self, tmp_path):
-        body = MINI.format(name="gradient_check")
-        body += SMOOTH.format(0.5, 0.3, 0.6)
-        assert run_body(tmp_path, body, n_directions=10)["passed"]
-
     def test_dressed_identity_scenario(self, tmp_path):
-        assert run_body(tmp_path, "[grid]\nn = 16\nlength = 16.0\n"
-                        "[scenario]\nname = dressed_identity\n"
-                        "n_states = 5\n")["passed"]
+        assert run_body(tmp_path, TINY["dressed_identity"][0])["passed"]
         csv = (tmp_path / "out" / "dressed_identity.csv").read_text()
         assert csv.count("\n") == 5 + 2
 
-    def test_strichartz_scenario(self, tmp_path):
-        assert run_body(tmp_path, MINI.format(name="strichartz"),
-                        n_states=10)["passed"]
-        assert (tmp_path / "out" / "interpolation.csv").exists()
-
     @pytest.mark.parametrize("name", list(TINY))
     def test_tiny_scenario(self, tmp_path, name):
+        """Each scenario passes, writes exactly summary.json and its CSV,
+        and writes the same bytes when run again."""
         body, csv = TINY[name]
-        summary = run_body(tmp_path, body)
-        assert summary["scenario"] == name and summary["passed"]
-        lines = (tmp_path / "out" / csv).read_text().splitlines()
+        outputs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            summary = run_body(tmp_path / run, body)
+            assert summary["scenario"] == name and summary["passed"]
+            out = tmp_path / run / "out"
+            assert sorted(p.name for p in out.iterdir()) \
+                == sorted(["summary.json", csv])
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+        lines = outputs[0][csv].decode().splitlines()
         assert lines[0] == "# schema=1" and len(lines) > 2
 
 

@@ -246,6 +246,11 @@ class TestTrajectoryInvariants:
         assert rep["applicable"]
         key = "L2t_L6x"
         assert math.isfinite(rep[key]) and rep[key] > 0
+        # the report integrates the norms of the recorded states
+        for p, q, key in ((2.0, 6.0, "L2t_L6x"), (4.0, 3.0, "L4t_L3x"),
+                          (8.0, 2.4, "L8t_L2.4x")):
+            vals = np.array([grid16.lq_norm_x(z.u, q) for z in traj.states])
+            assert rep[key] == np.trapezoid(vals**p, traj.times) ** (1 / p)
 
 
 class TestEvolutionConfig:
@@ -256,5 +261,5 @@ class TestEvolutionConfig:
             EvolutionConfig(dt=1e-3, t_final=-1.0)
         with pytest.raises(ValueError, match="record_every must be"):
             EvolutionConfig(dt=1e-3, t_final=1.0, record_every=0)
-        with pytest.raises(ValueError):
-            EvolutionConfig(dt=3e-3, t_final=1.0).n_steps
+        with pytest.raises(ValueError, match="t_final must be"):
+            EvolutionConfig(dt=3e-3, t_final=1.0)
