@@ -57,10 +57,6 @@ def _choice(options):
     return convert
 
 
-def _float_or_inf(text: str) -> float:
-    return math.inf if text.strip().lower() in ("inf", "infinity") else float(text)
-
-
 # schema: section -> key -> (converter, default)
 SCHEMA = {
     "grid": {
@@ -70,7 +66,6 @@ SCHEMA = {
     },
     "form_factors": {
         "sigma0": (float, 0.75),
-        "sigma": (_float_or_inf, math.inf),
     },
     "initial": {
         "u_family": (_choice(U_FAMILIES), "gaussian"),
@@ -126,9 +121,8 @@ def load_config(path: str | Path) -> dict:
 
     Unknown sections or keys are rejected by name; every value is converted
     by the schema type.  Missing entries take defaults.  A file that is not
-    valid INI (a repeated section or key, a line outside any section), an
-    unknown scenario or an [evolution] section that EvolutionConfig rejects
-    is a config error too.
+    valid INI (a repeated section or key, a line outside any section) or
+    a config that _check rejects is a config error too.
     """
     parser = configparser.ConfigParser()
     try:
@@ -159,20 +153,34 @@ def _convert(sec: str, key: str, raw: str):
             f"bad value for [{sec}] {key} = {raw!r}: {exc}") from exc
 
 
-def _check(cfg: dict) -> None:
-    """Reject what the runners would reject only later: an unknown scenario
-    or [evolution] values that EvolutionConfig refuses."""
-    _check_scenario(cfg["scenario"]["name"])
+# scenarios that run one evolution per [scenario] dt_levels entry, with the
+# section and key of the horizon that each entry must divide
+DT_LEVEL_HORIZONS = {"energy_order": ("evolution", "t_final"),
+                     "conjugation": ("scenario", "t_sample")}
+
+
+def _check(cfg: dict, name: str | None = None) -> None:
+    """Reject what the runners would reject only later: an unknown scenario,
+    [evolution] values that EvolutionConfig refuses, or a dt_levels entry
+    that EvolutionConfig refuses with the horizon of the scenario that
+    reads it.  name overrides the config's scenario."""
+    name = name or cfg["scenario"]["name"]
+    if name not in RUNNERS:
+        raise ConfigError(f"unknown scenario {name!r}; choose from "
+                          f"{', '.join(RUNNERS)}")
     try:
         dynamics.EvolutionConfig(**cfg["evolution"])
     except ValueError as exc:
         raise ConfigError(f"bad [evolution] section: {exc}") from exc
-
-
-def _check_scenario(name: str) -> None:
-    if name not in RUNNERS:
-        raise ConfigError(f"unknown scenario {name!r}; choose from "
-                          f"{', '.join(RUNNERS)}")
+    if name in DT_LEVEL_HORIZONS:
+        section, key = DT_LEVEL_HORIZONS[name]
+        for dt in cfg["scenario"]["dt_levels"]:
+            try:
+                dynamics.EvolutionConfig(dt=dt, t_final=cfg[section][key])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad [scenario] dt_levels for {name} with [{section}] "
+                    f"{key}: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -202,8 +210,7 @@ TRAJECTORY_COLUMNS = (
 
 def _grid_and_ff(cfg):
     g = build_grid(cfg["grid"]["d"], cfg["grid"]["n"], cfg["grid"]["length"])
-    return g, build_form_factors(g, cfg["form_factors"]["sigma0"],
-                                 cfg["form_factors"]["sigma"])
+    return g, build_form_factors(g, cfg["form_factors"]["sigma0"])
 
 
 def _grid_and_state(cfg, seed):
@@ -378,10 +385,10 @@ def run_scenario(cfg: dict, outdir: str | Path, seed: int | None = None,
                  scenario: str | None = None) -> dict:
     """Execute one scenario and write its CSV and summary.json; returns the
     summary."""
+    name = scenario or cfg["scenario"]["name"]
+    _check(cfg, name)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    name = scenario or cfg["scenario"]["name"]
-    _check_scenario(name)
     used_seed = cfg["initial"]["seed"] if seed is None else seed
     summary = {"scenario": name, "seed": used_seed,
                "csv_schema": CSV_SCHEMA_VERSION}
@@ -468,7 +475,7 @@ def main(argv=None) -> int:
             jobs = []
             for v in values:
                 cfg[section][key] = _convert(section, key, v)
-                _check(cfg)
+                _check(cfg, args.scenario)
                 outdir = Path(args.outdir) / f"{key}={v}"
                 jobs.append((args.config, outdir, args.seed, args.scenario,
                              section, key, v))

@@ -38,6 +38,9 @@ from .spectral import form_factor_f, gross_generator_b
 
 HERMITICITY_TOL = 1e-10
 EXPANSION_TOL = 1e-6
+# klmn_check samples states with N1 in KLMN_SECTORS and certifies a form
+# bound with a <= KLMN_A_CAP
+KLMN_SECTORS = (1, 2)
 KLMN_A_CAP = 0.9
 BOHR_SLACK = 1.1
 # relative and absolute tolerance of the DOP853 reference in classical_flow
@@ -51,11 +54,10 @@ def _frobenius(m: sparse.csr_array) -> float:
 
 @dataclass
 class OperatorMatrix:
-    """Sparse (csr) operator with an optional certified-hermitian flag; a
-    dense input is converted."""
+    """Sparse (csr) hermitian operator, certified on construction; a dense
+    input is converted."""
 
     csr: sparse.csr_array
-    hermitian: bool = False
 
     def __post_init__(self):
         m = self.csr if sparse.issparse(self.csr) else np.asarray(self.csr)
@@ -63,10 +65,9 @@ class OperatorMatrix:
             raise ValueError("operator matrix must be square")
         m = sparse.csr_array(m, dtype=np.complex128, copy=True)
         m.sum_duplicates()
-        if self.hermitian:
-            defect = _frobenius(m - m.conj().T)
-            if defect > HERMITICITY_TOL * (1.0 + _frobenius(m)):
-                raise AssertionError(f"hermiticity defect {defect:.3e}")
+        defect = _frobenius(m - m.conj().T)
+        if defect > HERMITICITY_TOL * (1.0 + _frobenius(m)):
+            raise AssertionError(f"hermiticity defect {defect:.3e}")
         self.csr = m
 
     @property
@@ -127,15 +128,15 @@ class FockModel:
     dk : quadrature weight attached to each phonon mode in mode sums.
     eps : semiclassical parameter; [a, a*] = eps.
     n_max_particles, n_max_phonons : per-sector total occupancy cutoffs.
-    sigma0, sigma : infrared/ultraviolet cutoffs splitting the coupling
-        into its f_{sigma0} part and the dressing range of B.
+    sigma0 : infrared cutoff splitting the coupling f into its f_{sigma0}
+        part and the dressing range |k| >= sigma0 of B; the retained phonon
+        modes are the only ultraviolet cutoff.
     max_dim : basis-size guard; a larger occupation basis is refused.
     """
 
     def __init__(self, particle_momenta, phonon_momenta, dk: float,
                  eps: float, n_max_particles: int, n_max_phonons: int,
-                 sigma0: float, sigma: float = math.inf,
-                 max_dim: int = 5000):
+                 sigma0: float, max_dim: int = 5000):
         self.p = _momentum_table(particle_momenta)
         self.k = _momentum_table(phonon_momenta)
         if self.p.shape[1] != self.k.shape[1]:
@@ -148,13 +149,11 @@ class FockModel:
         self.n_max_particles = int(n_max_particles)
         self.n_max_phonons = int(n_max_phonons)
         self.sigma0 = float(sigma0)
-        self.sigma = float(sigma)
 
         k_mag = np.linalg.norm(self.k, axis=1)
-        self.f = form_factor_f(k_mag, self.space_dim, self.sigma)
+        self.f = form_factor_f(k_mag, self.space_dim, math.inf)
         self.f_ir = form_factor_f(k_mag, self.space_dim, self.sigma0)
-        self.B = gross_generator_b(k_mag, self.space_dim, self.sigma0,
-                                   self.sigma)
+        self.B = gross_generator_b(k_mag, self.space_dim, self.sigma0)
         self.pair_symbol = self.B**2 + 2.0 * self.B * self.f
 
         p_tuples = _sector_tuples(self.n_particle_modes, self.n_max_particles)
@@ -257,13 +256,12 @@ def _coupled_hamiltonian(model: FockModel, coupling) -> sparse.csr_array:
 
 def build_hamiltonian(model: FockModel) -> OperatorMatrix:
     """Direct Hamiltonian: kinetic + phonon number + f-coupling."""
-    return OperatorMatrix(_coupled_hamiltonian(model, model.f), hermitian=True)
+    return OperatorMatrix(_coupled_hamiltonian(model, model.f))
 
 
 def build_free_hamiltonian(model: FockModel) -> OperatorMatrix:
     return OperatorMatrix(
-        _coupled_hamiltonian(model, np.zeros(model.n_phonon_modes)),
-        hermitian=True)
+        _coupled_hamiltonian(model, np.zeros(model.n_phonon_modes)))
 
 
 def build_T(model: FockModel) -> OperatorMatrix:
@@ -273,7 +271,7 @@ def build_T(model: FockModel) -> OperatorMatrix:
         coup = math.sqrt(model.dk) * model.B[j]
         block = 1j * model.adag(j) @ model.gamma(model.E[j])
         t = t + coup * (block + block.conj().T)
-    return OperatorMatrix(t, hermitian=True)
+    return OperatorMatrix(t)
 
 
 def _blocks(*matrices) -> list:
@@ -351,8 +349,7 @@ def dress_hamiltonian(model: FockModel, h: OperatorMatrix,
     for hs, ts in zip(_gather(h.csr, groups), _gather(t.csr, groups)):
         u = unitary_from_generator(ts, 1.0 / model.eps)
         parts.append(u @ hs @ _dagger(u))
-    return OperatorMatrix(_block_diagonal(groups, parts, h.dim),
-                          hermitian=True)
+    return OperatorMatrix(_block_diagonal(groups, parts, h.dim))
 
 
 def assemble_dressed(model: FockModel) -> dict:
@@ -418,7 +415,7 @@ def dressed_comparison(model: FockModel) -> dict:
     t = build_T(model)
     conj = dress_hamiltonian(model, h, t)
     parts = assemble_dressed(model)
-    assembled = OperatorMatrix(parts["total"], hermitian=True)
+    assembled = OperatorMatrix(parts["total"])
     n_cut = min(model.n_max_particles, model.n_max_phonons) // 2
     sel = model.low_occupancy_indices(n_cut)
     restricted = conj.csr[sel][:, sel].toarray()
@@ -606,21 +603,22 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
             "edge_weight": edge_weight}
 
 
-def klmn_check(model: FockModel, n_samples: int = 1000, seed: int = 0,
-               sectors=(1, 2), a_cap: float = KLMN_A_CAP) -> dict:
+def klmn_check(model: FockModel, n_samples: int = 1000,
+               seed: int = 0) -> dict:
     """Sampled relative form bound |<H_I>| <= a <H0> + C ||phi||^2 for the
-    dressed interaction, over random states in fixed-N1 sectors.
+    dressed interaction, over random states in the fixed-N1 sectors
+    KLMN_SECTORS.
 
     Reports the smallest sampled a on a grid of C, and whether some pair
-    (a <= a_cap, C) dominates every sample (existence claim only)."""
-    h0 = _coupled_hamiltonian(model, np.zeros(model.n_phonon_modes))
+    (a <= KLMN_A_CAP, C) dominates every sample (existence claim only)."""
+    h0 = build_free_hamiltonian(model).csr
     comp = dress_hamiltonian(model, build_hamiltonian(model), build_T(model))
     h_i = comp.csr - h0
     n1, _ = model.sector_totals()
     rng = np.random.default_rng(seed)
     xs, ys = [], []
     for _ in range(n_samples):
-        sector = sectors[rng.integers(len(sectors))]
+        sector = KLMN_SECTORS[rng.integers(len(KLMN_SECTORS))]
         idx = np.where(n1 == sector)[0]
         v = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
         state = np.zeros(model.dim, dtype=np.complex128)
@@ -642,7 +640,7 @@ def klmn_check(model: FockModel, n_samples: int = 1000, seed: int = 0,
             a_needed = float(np.max(excess[mask] / xs[mask]))
         if best is None or a_needed < best[0]:
             best = (a_needed, float(c))
-    found = best is not None and best[0] <= a_cap
+    found = best is not None and best[0] <= KLMN_A_CAP
     return {"a": None if best is None else best[0],
             "C": None if best is None else best[1],
             "satisfied": bool(found),

@@ -125,13 +125,6 @@ def _with_free_part(z: PhasePoint, gi: GradientPair) -> GradientPair:
 # -- dressed --------------------------------------------------------------------
 
 
-def _require_full_range(ff: FormFactorSet) -> None:
-    if np.isfinite(ff.sigma):
-        raise ValueError(
-            "the dressed Hamiltonian needs form factors with sigma = inf "
-            f"(got sigma = {ff.sigma})")
-
-
 def _dressed_fields(z: PhasePoint, ff: FormFactorSet):
     """Shared precomputation for the dressed energy and gradient."""
     g = z.grid
@@ -185,7 +178,6 @@ def pair_convolution(ff: FormFactorSet, w: np.ndarray) -> np.ndarray:
 def h_dressed(z: PhasePoint, ff: FormFactorSet) -> EnergyBreakdown:
     """Dressed energy: infrared coupling, pair potential, quadratic field
     term, and the drift term pairing the phonon field with D_x = -i grad."""
-    _require_full_range(ff)
     g = z.grid
     w, p, big_w, du_d, uk = _dressed_fields(z, ff)
 
@@ -210,7 +202,6 @@ def dressed_term_gradients(z: PhasePoint, ff: FormFactorSet) -> dict:
     """Per-term Wirtinger gradients of the dressed interaction, keyed like
     the EnergyBreakdown items (each one individually finite-difference
     certified in the tests)."""
-    _require_full_range(ff)
     g = z.grid
     w, p, big_w, du_d, uk = _dressed_fields(z, ff)
     zero_k = np.zeros(g.shape, dtype=np.complex128)

@@ -79,8 +79,10 @@ class SpectralGrid:
         neg = np.ix_(*[(-np.arange(self.n)) % self.n] * d)
         neg_flat = np.ravel_multi_index(neg, self.shape)
         self._neg_of_half = neg_flat[..., :self.n_half].ravel()
-        self._f_inf = None
-        self._f_inf_sym = None
+        # the coupling 1/|k|^{(d-1)/2}, zero at k = 0; the lattice is its
+        # only ultraviolet cutoff
+        self.f_inf = form_factor_f(self.k_mag, d, math.inf)
+        self.f_inf_sym = self.half_symbol(self.f_inf)
 
     # -- transforms ---------------------------------------------------------
 
@@ -219,20 +221,6 @@ class SpectralGrid:
 
     # -- misc ----------------------------------------------------------------
 
-    @property
-    def f_inf(self) -> np.ndarray:
-        """Coupling table 1/|k|^{(d-1)/2} with the zero mode set to 0."""
-        if self._f_inf is None:
-            self._f_inf = form_factor_f(self.k_mag, self.d, math.inf)
-        return self._f_inf
-
-    @property
-    def f_inf_sym(self) -> tuple:
-        """half_symbol(f_inf)."""
-        if self._f_inf_sym is None:
-            self._f_inf_sym = self.half_symbol(self.f_inf)
-        return self._f_inf_sym
-
     def same_as(self, other: "SpectralGrid") -> bool:
         return (
             self.d == other.d and self.n == other.n and self.length == other.length
@@ -344,26 +332,22 @@ def form_factor_f(k_mag: np.ndarray, d: int, sigma: float) -> np.ndarray:
     return out
 
 
-def gross_generator_b(k_mag: np.ndarray, d: int, sigma0: float,
-                      sigma: float) -> np.ndarray:
-    """Dressing symbol -1_{sigma0<=|k|<=sigma} / ((1+|k|^2)|k|^{(d-1)/2})."""
+def gross_generator_b(k_mag: np.ndarray, d: int, sigma0: float) -> np.ndarray:
+    """Dressing symbol -1_{|k|>=sigma0} / ((1+|k|^2)|k|^{(d-1)/2})."""
     k = np.asarray(k_mag, dtype=np.float64)
     out = np.zeros(k.shape)
     sel = (k >= sigma0) & (k > 0)
-    if math.isfinite(sigma):
-        sel &= k <= sigma
     out[sel] = -1.0 / ((1.0 + k[sel] ** 2) * k[sel] ** ((d - 1) / 2.0))
     return out
 
 
 @dataclass
 class FormFactorSet:
-    """Precomputed coupling tables on one grid's frequency lattice."""
+    """Precomputed coupling tables on one grid's frequency lattice; the
+    full coupling f is grid.f_inf."""
 
     grid: SpectralGrid
     sigma0: float
-    sigma: float
-    f: np.ndarray          # f_sigma
     f_ir: np.ndarray       # f_{sigma0}, the infrared part kept by the dressing
     B: np.ndarray
     kB_stack: np.ndarray   # (d, ...) stack of k_j * B
@@ -375,16 +359,16 @@ class FormFactorSet:
     sigma0_below_first_shell: bool = field(default=False)
 
 
-def build_form_factors(grid: SpectralGrid, sigma0: float,
-                       sigma: float = math.inf) -> FormFactorSet:
-    """Tabulate f_sigma, B_sigma, k B_sigma and the pair potential V_sigma.
+def build_form_factors(grid: SpectralGrid, sigma0: float) -> FormFactorSet:
+    """Tabulate f_{sigma0}, B, k B and the pair potential V.
 
-    sigma = inf means no ultraviolet cutoff beyond the lattice itself.  The
-    pair potential is the dk-quadrature of Re (|B|^2 + 2 B f) e^{-ik.x}.
+    B runs from the infrared cutoff sigma0 to the edge of the lattice, which
+    is the only ultraviolet cutoff.  The pair potential is the
+    dk-quadrature of Re (|B|^2 + 2 B f) e^{-ik.x} with f = grid.f_inf.
     """
-    if not 0 < sigma0 < sigma:
-        raise ValueError(f"cutoffs must satisfy 0 < sigma0 < sigma, got "
-                         f"({sigma0}, {sigma})")
+    if not sigma0 > 0:
+        raise ValueError("the infrared cutoff sigma0 must be positive, "
+                         f"got {sigma0}")
     k = grid.k_mag
     nonzero = k[k > 0]
     first_shell = float(nonzero.min())
@@ -393,25 +377,22 @@ def build_form_factors(grid: SpectralGrid, sigma0: float,
         warnings.warn(
             f"sigma0 = {sigma0} sits below the first lattice shell "
             f"{first_shell:.6g}; B starts at that shell", stacklevel=2)
-    for name, cut in (("sigma0", sigma0), ("sigma", sigma)):
-        if math.isfinite(cut) and np.any(np.abs(k - cut) < 1e-9):
-            warnings.warn(
-                f"{name} = {cut} coincides with a lattice shell; the cutoff "
-                "indicator is ambiguous there, prefer a generic value",
-                stacklevel=2)
-    f = form_factor_f(k, grid.d, sigma)
-    B = gross_generator_b(k, grid.d, sigma0, sigma)
+    if np.any(np.abs(k - sigma0) < 1e-9):
+        warnings.warn(
+            f"sigma0 = {sigma0} coincides with a lattice shell; the cutoff "
+            "indicator is ambiguous there, prefer a generic value",
+            stacklevel=2)
+    B = gross_generator_b(k, grid.d, sigma0)
     f_ir = form_factor_f(k, grid.d, sigma0)
     kB_stack = grid.k_vec * B
-    s = B * B + 2.0 * B * f
+    s = B * B + 2.0 * B * grid.f_inf
     v_complex = grid.inverse_dk(s)
     resid = float(np.max(np.abs(v_complex.imag)))
     if resid > 1e-12 * (1.0 + float(np.max(np.abs(v_complex.real)))):
         raise AssertionError(f"pair potential has imaginary residue {resid}")
     v = v_complex.real
-    return FormFactorSet(grid=grid, sigma0=float(sigma0), sigma=float(sigma),
-                         f=f, f_ir=f_ir, B=B, kB_stack=kB_stack,
-                         f_ir_sym=grid.half_symbol(f_ir),
+    return FormFactorSet(grid=grid, sigma0=float(sigma0), f_ir=f_ir, B=B,
+                         kB_stack=kB_stack, f_ir_sym=grid.half_symbol(f_ir),
                          kB_sym=grid.half_symbol(kB_stack), pair_symbol=s,
                          V=v, V_hat=sfft.rfftn(v),
                          sigma0_below_first_shell=below)

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 from pathlib import Path
 
@@ -37,7 +36,6 @@ class TestConfig:
     def test_defaults_loaded(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "[scenario]\nname = lp\n"))
         assert cfg["grid"]["n"] == 32
-        assert cfg["form_factors"]["sigma"] == math.inf
         assert cfg["scenario"]["name"] == "lp"
 
     def test_unknown_key_named(self, tmp_path):
@@ -111,6 +109,44 @@ class TestConfig:
         path = write_config(tmp_path, "[evolution]\nscheme = strang-split\n")
         assert main(["validate", str(path)]) == 2
         assert "unknown key 'scheme'" in capsys.readouterr().err
+
+    def test_sigma_is_an_unknown_key(self, tmp_path, capsys):
+        """The lattice is the only ultraviolet cutoff; a config that sets
+        another one fails before any run."""
+        path = write_config(tmp_path, "[form_factors]\nsigma = 2.0\n")
+        outdir = tmp_path / "out"
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--outdir", str(outdir)]):
+            assert main(argv) == 2
+            assert "unknown key 'sigma'" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("name", ["energy_order", "conjugation"])
+    def test_dt_levels_checked_against_the_horizon(self, tmp_path, capsys,
+                                                   name):
+        """Each dt_levels entry must divide the horizon of the scenario
+        that reads it (t_final for energy_order, t_sample for conjugation),
+        also when the scenario comes from --scenario or a sweep; lp does
+        not read dt_levels."""
+        body = ("[grid]\nn = 8\n[evolution]\ndt = 1e-2\nt_final = 0.1\n"
+                "[scenario]\nname = {}\nt_sample = 0.1\ndt_levels = {}\n")
+        outdir = tmp_path / "out"
+        path = write_config(tmp_path, body.format(name, "3e-3,1.5e-3"))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "dt_levels" in err and name in err and "dt = 0.003" in err
+        path = write_config(tmp_path, body.format(name, "2e-2,1e-2"))
+        assert main(["validate", str(path)]) == 0
+        path = write_config(tmp_path, body.format("lp", "3e-3,1.5e-3"))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--outdir", str(outdir),
+                     "--scenario", name]) == 2
+        assert "dt_levels" in capsys.readouterr().err
+        assert main(["sweep", str(path), "--scenario", name,
+                     "--param", "scenario.dt_levels", "--values", "1e-2,3e-3",
+                     "--outdir", str(outdir)]) == 2
+        assert "dt = 0.003" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_malformed_file_is_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "[grid]\nn = 8\n[grid]\nn = 16\n")

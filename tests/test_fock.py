@@ -143,8 +143,9 @@ class TestHamiltonians:
         t = build_T(toy)
         n1 = toy.number_operator("particles")
         for op in (h, t):
-            assert op.hermitian
-            assert np.linalg.norm(op.matrix @ n1 - n1 @ op.matrix) < 1e-10
+            m = op.matrix
+            assert np.max(np.abs(m - m.conj().T)) < 1e-12
+            assert np.linalg.norm(m @ n1 - n1 @ m) < 1e-10
 
     def test_ground_state_against_kronecker_oracle(self):
         # independent construction: explicit matrix elements on an
@@ -178,10 +179,10 @@ class TestHamiltonians:
 
     def test_operator_matrix_validation(self):
         with pytest.raises(AssertionError):
-            OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+            OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(AssertionError):
             OperatorMatrix(sparse.csr_array(([1.0j], ([0], [1])),
-                                            shape=(2, 2)), hermitian=True)
+                                            shape=(2, 2)))
         with pytest.raises(ValueError):
             OperatorMatrix(np.zeros((2, 3)))
 
@@ -330,7 +331,7 @@ class TestEvolution:
             found = [b.tolist() for group in _blocks(sparse.csr_array(m))
                      for b in group]
             assert sorted(found) == blocks
-            prop = Propagator(OperatorMatrix(m, hermitian=True), eps)
+            prop = Propagator(OperatorMatrix(m), eps)
             assert np.max(np.abs(prop.apply(psi, t) - dense(m))) < 1e-12
 
     def test_undressed_route_via_conjugation(self, toy):
@@ -348,13 +349,13 @@ class TestEvolution:
 
 class TestCorrespondence:
     def test_free_theory_follows_classical_flow(self):
-        # couplings switched off by the ultraviolet cutoff: exact Gaussian
+        # a phonon at k = 0 carries no coupling (f(0) = 0): exact Gaussian
         # dynamics, quantum expectations track the free classical flow
         def factory(eps):
             return FockModel(particle_momenta=[0.0, 1.0],
-                             phonon_momenta=[1.0], dk=0.5, eps=eps,
+                             phonon_momenta=[0.0], dk=0.5, eps=eps,
                              n_max_particles=6, n_max_phonons=6,
-                             sigma0=0.25, sigma=0.5)
+                             sigma0=0.25)
 
         res = correspondence_experiment(factory, [0.5, 0.25], [0.1, 0.05],
                                         [0.05], 0.5, n_times=3)

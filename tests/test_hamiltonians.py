@@ -17,7 +17,7 @@ from polaronlab.hamiltonians import (
     kinetic_energy,
 )
 from polaronlab.initial_data import random_smooth_state
-from polaronlab.spectral import PhasePoint, build_form_factors, build_grid
+from polaronlab.spectral import PhasePoint, build_grid
 
 
 class TestUndressed:
@@ -103,11 +103,6 @@ class TestDressed:
         assert e.interaction["pair"] != 0.0
         assert e.total == pytest.approx(e.kinetic + e.interaction["pair"],
                                         rel=1e-12)
-
-    def test_requires_full_range(self, grid16, smooth_state):
-        ff_cut = build_form_factors(grid16, sigma0=0.75, sigma=2.0)
-        with pytest.raises(ValueError):
-            h_dressed(smooth_state, ff_cut)
 
     def test_breakdown_sums(self, ff16, smooth_state):
         e = h_dressed(smooth_state, ff16)

@@ -102,14 +102,13 @@ class TestTransforms:
 
 class TestFormFactors:
     def test_cutoff_ordering_rejected(self, grid8):
-        with pytest.raises(ValueError):
-            build_form_factors(grid8, sigma0=1.0, sigma=1.0)
-        with pytest.raises(ValueError):
-            build_form_factors(grid8, sigma0=2.0, sigma=1.0)
+        for sigma0 in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="sigma0"):
+                build_form_factors(grid8, sigma0=sigma0)
 
     def test_supports_and_zero_mode(self, ff8, grid8):
         k = grid8.k_mag
-        assert ff8.f[k == 0] == 0.0
+        assert grid8.f_inf[k == 0] == 0.0
         assert ff8.B[k == 0] == 0.0
         assert np.all(ff8.B[k < ff8.sigma0] == 0.0)
         sel = k >= ff8.sigma0
@@ -122,18 +121,8 @@ class TestFormFactors:
             ff = build_form_factors(g, sigma0=0.5)
         shell = np.isclose(g.k_mag, 1.0)
         assert shell.any()
-        assert np.allclose(ff.f[shell], 1.0)
+        assert np.allclose(g.f_inf[shell], 1.0)
         assert np.allclose(ff.B[shell], -0.5)
-
-    def test_sigma_monotone(self, grid8):
-        lo = build_form_factors(grid8, sigma0=0.8, sigma=1.5)
-        hi = build_form_factors(grid8, sigma0=0.8, sigma=2.5)
-        sel = grid8.k_mag <= 1.5
-        assert np.array_equal(lo.f[sel], hi.f[sel])
-        assert np.array_equal(lo.B[sel], hi.B[sel])
-        assert np.all(lo.f[grid8.k_mag > 1.5] == 0.0)
-        grown = (grid8.k_mag > 1.5) & (grid8.k_mag <= 2.5)
-        assert np.all(hi.f[grown] > 0.0)
 
     def test_kb_componentwise(self, ff8, grid8):
         for ax in range(3):
@@ -162,8 +151,9 @@ class TestFormFactors:
         assert ff.sigma0_below_first_shell
 
     def test_empty_dressing_range(self, grid8):
-        # no lattice shell between the cutoffs: B and V vanish identically
-        ff = build_form_factors(grid8, sigma0=0.76, sigma=0.9)
+        # sigma0 above the largest lattice |k| (3.63): B and V vanish
+        # identically
+        ff = build_form_factors(grid8, sigma0=3.7)
         assert not np.any(ff.B)
         assert np.max(np.abs(ff.V)) < 1e-15
 
@@ -237,7 +227,7 @@ def _symbols(g, rng):
     """Real (f), imaginary (iB) and stacked (k B) couplings plus a generic
     complex table with no parity at all."""
     ff = _form_factors(g)
-    return {"real": ff.f, "imaginary": 1j * ff.B, "stacked": ff.kB_stack,
+    return {"real": g.f_inf, "imaginary": 1j * ff.B, "stacked": ff.kB_stack,
             "generic": _complex(rng, g.shape)}
 
 
@@ -342,8 +332,11 @@ class TestPhasePoint:
 
 
 def test_f_inf_matches_table(grid8):
+    """grid.f_inf is the one coupling table: the uncut form factor, and the
+    f of the pair symbol."""
     ff = build_form_factors(grid8, sigma0=0.8)
-    assert np.array_equal(ff.f, grid8.f_inf)
+    assert np.array_equal(ff.pair_symbol,
+                          ff.B * ff.B + 2.0 * ff.B * grid8.f_inf)
     assert np.array_equal(
         form_factor_f(grid8.k_mag, 3, math.inf), grid8.f_inf)
 
