@@ -161,9 +161,10 @@ DT_LEVEL_HORIZONS = {"energy_order": ("evolution", "t_final"),
 
 def _check(cfg: dict, name: str | None = None) -> None:
     """Reject what the runners would reject only later: an unknown scenario,
-    [evolution] values that EvolutionConfig refuses, or a dt_levels entry
-    that EvolutionConfig refuses with the horizon of the scenario that
-    reads it.  name overrides the config's scenario."""
+    [evolution] values that EvolutionConfig refuses, fewer than two
+    dt_levels, or a dt_levels entry that EvolutionConfig refuses with the
+    horizon of the scenario that reads it.  name overrides the config's
+    scenario."""
     name = name or cfg["scenario"]["name"]
     if name not in RUNNERS:
         raise ConfigError(f"unknown scenario {name!r}; choose from "
@@ -174,13 +175,18 @@ def _check(cfg: dict, name: str | None = None) -> None:
         raise ConfigError(f"bad [evolution] section: {exc}") from exc
     if name in DT_LEVEL_HORIZONS:
         section, key = DT_LEVEL_HORIZONS[name]
-        for dt in cfg["scenario"]["dt_levels"]:
+        levels = cfg["scenario"]["dt_levels"]
+        for dt in levels:
             try:
                 dynamics.EvolutionConfig(dt=dt, t_final=cfg[section][key])
             except ValueError as exc:
                 raise ConfigError(
                     f"bad [scenario] dt_levels for {name} with [{section}] "
                     f"{key}: {exc}") from exc
+        if len(levels) < 2:
+            raise ConfigError(
+                f"bad [scenario] dt_levels for {name}: an order needs at "
+                f"least two levels, got {len(levels)}")
 
 
 def _fmt(x) -> str:
@@ -472,13 +478,18 @@ def main(argv=None) -> int:
                 raise ConfigError(f"unknown sweep parameter {args.param!r}")
             values = [v.strip() for v in args.values.split(",") if v.strip()]
             cfg = load_config(args.config)
-            jobs = []
+            jobs, errors = [], []
             for v in values:
                 cfg[section][key] = _convert(section, key, v)
-                _check(cfg, args.scenario)
+                try:
+                    _check(cfg, args.scenario)
+                except ConfigError as exc:
+                    errors.append(f"{args.param}={v}: {exc}")
                 outdir = Path(args.outdir) / f"{key}={v}"
                 jobs.append((args.config, outdir, args.seed, args.scenario,
                              section, key, v))
+            if errors:
+                raise ConfigError("; ".join(errors))
             ok = True
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 for value, summary in pool.map(_sweep_one, jobs):

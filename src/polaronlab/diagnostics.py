@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import EnergyBreakdown, h_dressed, h_undressed, kinetic_energy
+from .hamiltonians import EnergyBreakdown, h_dressed, h_undressed
 from .spectral import FormFactorSet, PhasePoint
 
 
@@ -52,14 +52,14 @@ class DiagnosticsRow:
 def diagnostics_row(z: PhasePoint, ff: FormFactorSet, t: float) -> DiagnosticsRow:
     g = z.grid
     mass = z.mass()
-    h1 = math.sqrt(mass + kinetic_energy(z))
+    h = h_undressed(z)
     lq = {}
     pairs = strichartz_pairs(g.d)
     if pairs is not None:
         for p, q in pairs:
             lq[pair_label(p, q)] = g.lq_norm_x(z.u, q)
-    return DiagnosticsRow(t=t, mass=mass, h1=h1, h=h_undressed(z),
-                          hhat=h_dressed(z, ff), lq=lq)
+    return DiagnosticsRow(t=t, mass=mass, h1=math.sqrt(mass + h.kinetic),
+                          h=h, hhat=h_dressed(z, ff), lq=lq)
 
 
 def relative_drift(values) -> np.ndarray:

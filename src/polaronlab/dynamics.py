@@ -20,9 +20,9 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRow, diagnostics_row, max_relative_drift
 from .hamiltonians import (
-    drift_dalpha,
     drift_du,
     grad_dressed_interaction,
+    kb_contract,
     pair_convolution,
     quadratic_dalpha,
 )
@@ -177,21 +177,28 @@ def _alpha_substep(grid: SpectralGrid, ff: FormFactorSet, u: np.ndarray,
                    uk: np.ndarray, alpha: np.ndarray, h: float,
                    big_w: np.ndarray | None = None) -> np.ndarray:
     """Explicit midpoint step for the phonon component of the interaction
-    gradient with the electron field frozen (the source splits into an
-    alpha-independent part and a term linear in the quadratic field).
+    gradient with the electron field frozen.
+
+    The slope is -i (f_ir F(|u|^2) + drift_dalpha + Q(W)), with W = 2 Re P
+    at alpha and Q(W) = quadratic_dalpha(ff, W, |u|^2).  W and Q are linear,
+    so the midpoint slope is k2 = k1 - i (h/2) Q(W(k1)), and the drift and
+    quadratic terms of k1 are one kB contraction of the stack
+    W |u|^2 - conj(u) D u.
 
     uk is fourier(u); big_w = 2 Re P at alpha, when the caller holds it."""
     g = grid
     w = u.real**2 + u.imag**2
-    src = ff.f_ir * g.fourier_dx(w) + drift_dalpha(ff, u, g.grad_d(uk))
-
-    def rhs(big_w):
-        return -1j * (src + quadratic_dalpha(ff, big_w, w))
-
     if big_w is None:
         big_w = g.field_real(alpha, ff.kB_sym)
-    k1 = rhs(big_w)
-    k2 = rhs(g.field_real(alpha + 0.5 * h * k1, ff.kB_sym))
+    r = np.conj(u) * g.grad_d(uk)
+    np.subtract(big_w * w, r, out=r)
+    k1 = kb_contract(ff, r)
+    k1 *= 2.0
+    k1 += ff.f_ir * g.fourier_dx(w)
+    k1 *= -1j
+    k2 = quadratic_dalpha(ff, g.field_real(k1, ff.kB_sym), w)
+    k2 *= -0.5j * h
+    k2 += k1
     return alpha + h * k2
 
 
@@ -368,7 +375,11 @@ def energy_order(z0: PhasePoint, ff: FormFactorSet, dt_levels,
                  t_final: float) -> tuple:
     """Energy drifts of the LP flow (h) and the dressed flow (hhat) on
     [0, t_final], recorded about 20 times, at each dt of dt_levels, and
-    their successive ratios, as (info, verdicts, rows)."""
+    their successive ratios, as (info, verdicts, rows).  Fewer than two
+    levels give no ratio to judge and raise ValueError."""
+    if len(dt_levels) < 2:
+        raise ValueError(
+            f"need at least two dt levels, got {len(dt_levels)}")
     flows = (("lp", lp_evolve, lambda r: r.h.total),
              ("dressed", dressed_evolve, lambda r: r.hhat.total))
     drifts = {name: [] for name, _, _ in flows}

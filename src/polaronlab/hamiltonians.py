@@ -149,7 +149,7 @@ def drift_du(g: SpectralGrid, p: np.ndarray, v: np.ndarray,
     return -2.0 * ((p * dv).sum(axis=0) + g.div_d(np.conj(p) * v))
 
 
-def _kb_contract(ff: FormFactorSet, r: np.ndarray) -> np.ndarray:
+def kb_contract(ff: FormFactorSet, r: np.ndarray) -> np.ndarray:
     """sum_j k_j B fourier_dx(r_j) for a (d, ...) stack r."""
     s = ff.grid.fourier_dx(r)
     s *= ff.kB_stack
@@ -159,14 +159,14 @@ def _kb_contract(ff: FormFactorSet, r: np.ndarray) -> np.ndarray:
 def drift_dalpha(ff: FormFactorSet, u: np.ndarray,
                  du_d: np.ndarray) -> np.ndarray:
     """alpha-gradient of the drift term, -2 sum_j k_j B F(conj(u) D_j u)."""
-    return -2.0 * _kb_contract(ff, np.conj(u) * du_d)
+    return -2.0 * kb_contract(ff, np.conj(u) * du_d)
 
 
 def quadratic_dalpha(ff: FormFactorSet, big_w: np.ndarray,
                      w: np.ndarray) -> np.ndarray:
     """alpha-gradient of the quadratic field term, 2 sum_j k_j B F(W_j |u|^2)
     with W = 2 Re P."""
-    return 2.0 * _kb_contract(ff, big_w * w)
+    return 2.0 * kb_contract(ff, big_w * w)
 
 
 def pair_convolution(ff: FormFactorSet, w: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ The mild-solution map
 
 is discretized on a uniform time mesh with trapezoid quadrature in s and
 exact free propagators, so L maps mesh trajectories to mesh trajectories.
+The map runs in place: picard_solve holds one mesh trajectory from the free
+flow to the fixed point, and each map needs one stack of nodes on top.
 Local existence shows up as a measured contraction of the iteration; the
 contraction window in T is found by search, never asserted from theory.
 """
@@ -77,6 +79,12 @@ def _node_sq_norms(stack: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
+def _sq_distances(g: SpectralGrid, u, u_ref, alpha, alpha_ref) -> np.ndarray:
+    """Squared L2 (+) L2 distance at each node of two node stacks."""
+    return (_node_sq_norms(u - u_ref) * g.dx
+            + _node_sq_norms(alpha - alpha_ref) * g.dk)
+
+
 @dataclass
 class MeshTrajectory:
     """Fields sampled on the uniform time mesh of [0, T]."""
@@ -112,14 +120,16 @@ class MeshTrajectory:
         g = self.grid
         worst = 0.0
         for c in _chunks(len(self.times), g):
-            d2 = (_node_sq_norms(self.u[c] - other.u[c]) * g.dx
-                  + _node_sq_norms(self.alpha[c] - other.alpha[c]) * g.dk)
+            d2 = _sq_distances(g, self.u[c], other.u[c], self.alpha[c],
+                               other.alpha[c])
             worst = max(worst, float(np.max(d2)))
         return math.sqrt(worst)
 
 
-def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
-    """Apply the mild-solution map to a mesh trajectory.
+def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> float:
+    """Replace the samples of a mesh trajectory by their image under the
+    mild-solution map, in place, and return the sup distance between the
+    old and the new iterate.
 
     Composing the exact free propagator K over one mesh step with the
     trapezoid increments reproduces the full trapezoid sum node by node.
@@ -128,10 +138,13 @@ def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
         y_i = K (y_{i-1} + q_{i-1}) + q_i,    q = -i (dt/2) g,
 
     for the electron in k-space (K = SpectralGrid.free_phase(dt)) and for
-    the phonon (K the phase e^{-i dt}).  For each stack of nodes, one call
-    transforms each integrand, the recurrence writes y node by node into
-    the output, and one inverse call brings the electron stack back to
-    x-space in place.
+    the phonon (K the phase e^{-i dt}).  Output node i reads only candidate
+    nodes <= i, so the map runs in place: for each stack of nodes, one call
+    transforms each integrand, the recurrence writes y node by node into a
+    stack-sized scratch pair, one inverse call brings the electron stack
+    back to x-space, and the new stack is measured against the old one
+    (the arithmetic and chunking of MeshTrajectory.sup_distance) before it
+    is copied over it.  The map holds the trajectory plus one node stack.
     """
     g = z0.grid
     if not g.same_as(candidate.grid):
@@ -142,20 +155,24 @@ def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
     kin_step = g.free_phase(dt)
     phase_step = cmath.exp(-1j * dt)
 
-    out_u = np.empty_like(candidate.u)
-    out_a = np.empty_like(candidate.alpha)
-    # y and q at the node before the current one
+    stack_shape = (min(node_chunk(g), n),) + g.shape
+    scratch_u = np.empty(stack_shape, dtype=np.complex128)
+    scratch_a = np.empty(stack_shape, dtype=np.complex128)
+    # y and q at the node before the current one, copied out of the stacks
+    # that the next stack reuses or frees
     y_u, y_a = g.fourier(z0.u), z0.alpha
     q_u = q_a = None
+    worst = 0.0
     for c in _chunks(n, g):
-        u = candidate.u[c]
-        a = g.field_real(candidate.alpha[c], g.f_inf_sym)
-        qu = g.fourier(a * u)
+        old_u, old_a = candidate.u[c], candidate.alpha[c]
+        a = g.field_real(old_a, g.f_inf_sym)
+        qu = g.fourier(a * old_u)
         qu *= -0.5j * dt
-        qa = g.phonon_source(u.real**2 + u.imag**2)
+        qa = g.phonon_source(old_u.real**2 + old_u.imag**2)
         qa *= -0.5j * dt
-        yu, ya = out_u[c], out_a[c]
-        for j in range(c.stop - c.start):
+        m = c.stop - c.start
+        yu, ya = scratch_u[:m], scratch_a[:m]
+        for j in range(m):
             if q_u is None:
                 yu[j], ya[j] = y_u, y_a
             else:
@@ -166,10 +183,15 @@ def duhamel_map(candidate: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
                 ya[j] *= phase_step
                 ya[j] += qa[j]
             y_u, y_a, q_u, q_a = yu[j], ya[j], qu[j], qa[j]
-        y_u = y_u.copy()    # the inverse below overwrites the stack
-        out_u[c] = g.inverse(yu, scratch=True)
-    out_u[0] = z0.u
-    return MeshTrajectory(grid=g, times=times, u=out_u, alpha=out_a)
+        y_u, y_a, q_u, q_a = y_u.copy(), y_a.copy(), q_u.copy(), q_a.copy()
+        new_u = g.inverse(yu, scratch=True)
+        if c.start == 0:
+            new_u[0] = z0.u
+        d2 = _sq_distances(g, new_u, old_u, ya, old_a)
+        worst = max(worst, float(np.max(d2)))
+        old_u[...] = new_u
+        old_a[...] = ya
+    return math.sqrt(worst)
 
 
 @dataclass
@@ -183,7 +205,8 @@ class PicardResult:
 
 def picard_solve(z0: PhasePoint, t_final: float, tol: float = 1e-12,
                  n_nodes: int = 129, max_iter: int = 60) -> PicardResult:
-    """Iterate the Duhamel map from the free flow to a fixed point.
+    """Iterate the Duhamel map from the free flow to a fixed point, in
+    place on the one trajectory that the result holds.
 
     Aborts with the measured ratio when three consecutive
     successive-difference ratios reach 1 (non-contraction).
@@ -194,8 +217,7 @@ def picard_solve(z0: PhasePoint, t_final: float, tol: float = 1e-12,
     bad_streak = 0
     scale = max(z0.norm(), 1e-30)
     for it in range(1, max_iter + 1):
-        new = duhamel_map(current, z0)
-        d = new.sup_distance(current)
+        d = duhamel_map(current, z0)
         if diffs and diffs[-1] > 0:
             r = d / diffs[-1]
             ratios.append(r)
@@ -203,7 +225,6 @@ def picard_solve(z0: PhasePoint, t_final: float, tol: float = 1e-12,
             if bad_streak >= 3:
                 raise PicardDivergenceError(ratios)
         diffs.append(d)
-        current = new
         if d <= tol * scale:
             return PicardResult(current, diffs, ratios, it, True)
     return PicardResult(current, diffs, ratios, max_iter, False)

@@ -148,6 +148,32 @@ class TestConfig:
         assert "dt = 0.003" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("name", ["energy_order", "conjugation"])
+    @pytest.mark.parametrize("levels", ["", "1e-2"])
+    def test_fewer_than_two_dt_levels_rejected(self, tmp_path, capsys, name,
+                                               levels):
+        """An order needs at least two dt_levels: validate and run refuse
+        zero or one before any run starts."""
+        body = ("[grid]\nn = 8\n[evolution]\ndt = 1e-2\nt_final = 0.1\n"
+                f"[scenario]\nname = {name}\nt_sample = 0.1\n"
+                f"dt_levels = {levels}\n")
+        path = write_config(tmp_path, body)
+        outdir = tmp_path / "out"
+        assert main(["validate", str(path)]) == 2
+        assert "at least two levels" in capsys.readouterr().err
+        assert main(["run", str(path), "--outdir", str(outdir)]) == 2
+        assert "at least two levels" in capsys.readouterr().err
+        # each value of a sweep is one level; the sweep names every bad one
+        path = write_config(tmp_path, body.replace(
+            f"dt_levels = {levels}", "dt_levels = 2e-2,1e-2"))
+        assert main(["validate", str(path)]) == 0
+        assert main(["sweep", str(path), "--param", "scenario.dt_levels",
+                     "--values", "1e-2,3e-3", "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "dt_levels=1e-2: " in err and "at least two levels" in err
+        assert "dt_levels=3e-3: " in err and "dt = 0.003" in err
+        assert not outdir.exists()
+
     def test_malformed_file_is_a_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "[grid]\nn = 8\n[grid]\nn = 16\n")
         assert main(["validate", str(path)]) == 2

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from polaronlab.diagnostics import (
     convergence_order,
@@ -8,7 +11,7 @@ from polaronlab.diagnostics import (
     relative_drift,
     strichartz_pairs,
 )
-from polaronlab.hamiltonians import h_dressed, h_undressed
+from polaronlab.hamiltonians import h_dressed, h_undressed, kinetic_energy
 from polaronlab.spectral import PhasePoint
 
 
@@ -55,6 +58,27 @@ class TestRow:
         row = diagnostics_row(smooth_state, ff16, 0.0)
         assert row.h.total == h_undressed(smooth_state).total
         assert row.hhat.total == h_dressed(smooth_state, ff16).total
+
+    def test_one_kinetic_transform(self, monkeypatch, ff16, smooth_state):
+        """The row's H1 norm reads the kinetic energy of its h breakdown:
+        the row makes the transform calls of h and hhat and no more."""
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(sfft, name, counting(getattr(sfft, name)))
+        h_undressed(smooth_state)
+        h_dressed(smooth_state, ff16)
+        expected = len(calls)
+        calls.clear()
+        row = diagnostics_row(smooth_state, ff16, 0.0)
+        assert len(calls) == expected
+        assert row.h1 == math.sqrt(row.mass + kinetic_energy(smooth_state))
 
     def test_pairs_table(self):
         assert strichartz_pairs(2) is None

@@ -12,19 +12,23 @@ from polaronlab.dynamics import (
     SubstepConvergenceError,
     dressed_evolve,
     dressed_step,
+    energy_order,
     evolve_interaction_picture,
     free_flow,
     interaction_field_X,
     lp_evolve,
     lp_step,
+    _alpha_substep,
     _evolve,
     _rk4_increment,
 )
 from polaronlab.hamiltonians import (
+    drift_dalpha,
     grad_dressed,
     grad_dressed_interaction,
     grad_undressed,
     h_dressed,
+    quadratic_dalpha,
 )
 from polaronlab.spectral import PhasePoint
 
@@ -186,12 +190,31 @@ def test_classical_path_makes_no_blas_reduction(monkeypatch, ff16,
     diagnostics_row(z, ff16, 0.0)
 
 
+def test_phonon_substep_is_the_explicit_midpoint(ff16, smooth_state):
+    """The fused phonon substep is the explicit midpoint step of the
+    certified terms f_ir F(|u|^2) + drift_dalpha + quadratic_dalpha."""
+    g, u, alpha = smooth_state.grid, smooth_state.u, smooth_state.alpha
+    h = 0.05
+    uk = g.fourier(u)
+    w = u.real**2 + u.imag**2
+
+    def rhs(a):
+        return -1j * (ff16.f_ir * g.fourier_dx(w)
+                      + drift_dalpha(ff16, u, g.grad_d(uk))
+                      + quadratic_dalpha(ff16, g.field_real(a, ff16.kB_sym),
+                                         w))
+
+    ref = alpha + h * rhs(alpha + 0.5 * h * rhs(alpha))
+    out = _alpha_substep(g, ff16, u, uk, alpha, h)
+    assert g.norm_k(out - ref) <= 1e-14 * g.norm_k(ref)
+
+
 def test_transform_calls_of_the_dressed_layer(monkeypatch, ff16,
                                               smooth_state):
     """Transform calls of one dressed step, one dressed gradient and one
     dressed energy on the fixture data.  The step's count holds three
     evaluations of the midpoint map, four calls each; on smoother data
-    (k_cut 0.35) the step needs two and makes 31 calls."""
+    (k_cut 0.35) the step needs two and makes 29 calls."""
     calls = []
 
     def counting(fn):
@@ -202,7 +225,7 @@ def test_transform_calls_of_the_dressed_layer(monkeypatch, ff16,
 
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(sfft, name, counting(getattr(sfft, name)))
-    for fn, expected in ((lambda z: dressed_step(z, 1e-2, ff16), 35),
+    for fn, expected in ((lambda z: dressed_step(z, 1e-2, ff16), 33),
                          (lambda z: grad_dressed(z, ff16), 13),
                          (lambda z: h_dressed(z, ff16), 8)):
         calls.clear()
@@ -263,3 +286,11 @@ class TestEvolutionConfig:
             EvolutionConfig(dt=1e-3, t_final=1.0, record_every=0)
         with pytest.raises(ValueError, match="t_final must be"):
             EvolutionConfig(dt=3e-3, t_final=1.0)
+
+
+@pytest.mark.parametrize("levels", [(), (1e-2,)])
+def test_energy_order_needs_two_levels(ff16, smooth_state, levels):
+    """No ratio of drifts exists below two levels, so there is no order to
+    pass or fail."""
+    with pytest.raises(ValueError, match="two dt levels"):
+        energy_order(smooth_state, ff16, levels, 0.1)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,11 +57,24 @@ def _node_by_node_map(cand: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
                           alpha=np.array(ref_a))
 
 
+def _copy(traj: MeshTrajectory) -> MeshTrajectory:
+    return MeshTrajectory(grid=traj.grid, times=traj.times, u=traj.u.copy(),
+                          alpha=traj.alpha.copy())
+
+
+def _image(cand: MeshTrajectory, z0: PhasePoint) -> MeshTrajectory:
+    """The image of cand under the map, which runs on a copy of it."""
+    out = _copy(cand)
+    duhamel_map(out, z0)
+    return out
+
+
 class TestDuhamelMap:
     def test_zero_fixed_point(self, grid16):
         z0 = PhasePoint.zero(grid16)
         cand = MeshTrajectory.from_free_flow(z0, 0.2, 17)
-        out = duhamel_map(cand, z0)
+        out = _copy(cand)
+        assert duhamel_map(out, z0) == 0.0
         assert out.sup_distance(cand) == 0.0
 
     def test_free_flow_exact_when_u0_zero(self, grid16, rng):
@@ -68,15 +82,14 @@ class TestDuhamelMap:
                  + 1j * rng.standard_normal(grid16.shape))
         z0 = PhasePoint(grid16, np.zeros(grid16.shape, dtype=complex), alpha)
         cand = MeshTrajectory.from_free_flow(z0, 0.3, 33)
-        out = duhamel_map(cand, z0)
-        assert out.sup_distance(cand) < 1e-13
+        assert _image(cand, z0).sup_distance(cand) < 1e-13
 
     def test_matches_node_by_node_free_flow(self, small_state):
         z0 = small_state
         cand = MeshTrajectory.from_free_flow(z0, 0.1, 65)
-        cand = duhamel_map(cand, z0)   # a candidate that is not free
+        cand = _image(cand, z0)   # a candidate that is not free
         ref = _node_by_node_map(cand, z0)
-        assert duhamel_map(cand, z0).sup_distance(ref) < 1e-13 * z0.norm()
+        assert _image(cand, z0).sup_distance(ref) < 1e-13 * z0.norm()
 
     @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 16)])
     def test_chunk_edges_match_node_by_node(self, d, n):
@@ -91,8 +104,22 @@ class TestDuhamelMap:
             cand = MeshTrajectory(grid=g, times=cand.times,
                                   u=cand.u * (1.0 + 0.1j), alpha=cand.alpha)
             ref = _node_by_node_map(cand, z0)
-            assert duhamel_map(cand, z0).sup_distance(ref) \
+            assert _image(cand, z0).sup_distance(ref) \
                 < 1e-13 * z0.norm(), n_nodes
+
+    def test_returns_the_distance_it_moved(self, small_state):
+        """The returned distance is sup_distance between the new samples
+        and a copy of the old ones, bit for bit, over several stacks; node
+        0 stays z0."""
+        z0 = small_state
+        traj = MeshTrajectory.from_free_flow(z0, 0.1, 2 * node_chunk(z0.grid)
+                                             + 5)
+        for _ in range(3):
+            old = _copy(traj)
+            d = duhamel_map(traj, z0)
+            assert d == traj.sup_distance(old) > 0.0
+            assert np.array_equal(traj.u[0], z0.u)
+            assert np.array_equal(traj.alpha[0], z0.alpha)
 
     def test_transform_calls_per_map(self, small_state, monkeypatch):
         """At most four transform calls per stack of nodes, plus one."""
@@ -152,7 +179,7 @@ class TestDuhamelMap:
                               alpha=np.zeros_like(current.alpha))
         bound = 4.0 * (z0.norm() + 1.0)
         for _ in range(8):
-            current = duhamel_map(current, z0)
+            duhamel_map(current, z0)
             assert current.sup_distance(zero) < bound
 
 
@@ -161,6 +188,27 @@ class TestPicardSolve:
         res = picard_solve(PhasePoint.zero(grid16), 0.2, n_nodes=17)
         assert res.converged
         assert res.iterations == 1
+
+    def test_holds_one_trajectory(self, small_state):
+        """The iteration maps its one trajectory in place: the traced peak
+        of picard_solve at N=16 over 401 nodes, free flow included, stays
+        below 1.3 trajectories (two trajectories would read above 2)."""
+        z0 = small_state
+        picard_solve(z0, 0.1, n_nodes=3, max_iter=1)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = picard_solve(z0, 0.1, n_nodes=401, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        one = res.trajectory.u.nbytes + res.trajectory.alpha.nbytes
+        assert res.iterations == 3
+        assert peak <= 1.3 * one, peak / one
 
     def test_endpoint_matches_strang(self, grid16, ff16, small_state):
         gap = picard_vs_strang(small_state, 0.1, ff16, n_nodes=401, dt=2.5e-4)
