@@ -110,7 +110,11 @@ def conjugation_order(z0: PhasePoint, ff: FormFactorSet, dt_levels,
                       t_sample: float) -> tuple:
     """verify_conjugation curves on [0, t_sample], recorded about 10
     times, at each dt of dt_levels and the convergence orders of their end
-    errors, as (info, verdicts, rows)."""
+    errors, as (info, verdicts, rows).  Fewer than two levels give no order
+    to judge and raise ValueError before any flow runs."""
+    if len(dt_levels) < 2:
+        raise ValueError(
+            f"need at least two dt levels, got {len(dt_levels)}")
     rows, end_errors = [], []
     for dt in dt_levels:
         cfg = EvolutionConfig(

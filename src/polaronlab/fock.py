@@ -17,13 +17,22 @@ block diagonal on the occupation basis: the conjugation and the propagator
 work on the connected blocks of the operators' nonzero pattern, read from
 the sparse matrices themselves (a matrix without structure is one block).
 Blocks of equal size are gathered into one stack and decomposed by one
-batched eigh.  Model sizes are capped so correctness, not scale, is the
+batched eigh.  The blocks are small (at most 72 rows at dim 2352), too
+small for a second BLAS thread to pay, so the block kernels (the eigh
+loops, the batched products of the conjugation and the spectral norms of
+dressed_comparison) hold every OpenBLAS loaded in the process to one thread
+and restore the previous count afterwards.  That setting is process-global
+while it is held: the layer is not meant to run from two Python threads at
+once.  Model sizes are capped so correctness, not scale, is the
 product.  Operator identities are asserted away from the
 occupancy-truncation edge (sub-basis with total occupancy <= n_max/2).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +43,7 @@ from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
-from .spectral import form_factor_f, gross_generator_b
+from .spectral import abs2_sum, form_factor_f, gross_generator_b
 
 HERMITICITY_TOL = 1e-10
 EXPANSION_TOL = 1e-6
@@ -47,9 +56,63 @@ BOHR_SLACK = 1.1
 CLASSICAL_FLOW_TOL = 1e-12
 
 
+# OpenBLAS thread-count entry points, by build: scipy-openblas64, scipy-openblas
+# and the plain library with and without the 64-bit integer suffix
+_OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                            "scipy_openblas_{}_num_threads",
+                            "openblas_{}_num_threads64_",
+                            "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas_libraries() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS loaded in the
+    process, found on first use: the openblas paths in /proc/self/maps,
+    opened with ctypes.  Empty where there is no /proc or no OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1]})
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, symbol.format("get"), None)
+            put = getattr(lib, symbol.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS to one thread, and restore the count each
+    had on entry.  The Fock blocks are too small for a second thread to pay,
+    and an idle OpenBLAS thread spins after each call."""
+    libraries = _openblas_libraries()
+    before = [get() for get, _ in libraries]
+    for _, put in libraries:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(libraries, before):
+            put(n)
+
+
 def _frobenius(m: sparse.csr_array) -> float:
-    """Frobenius norm of a sparse matrix (of its stored entries)."""
-    return float(np.linalg.norm(m.data))
+    """Frobenius norm of a sparse matrix (of its stored entries), as a ufunc
+    sum: np.linalg.norm is a BLAS dot, threaded on long vectors."""
+    return math.sqrt(abs2_sum(m.data))
 
 
 @dataclass
@@ -346,9 +409,10 @@ def dress_hamiltonian(model: FockModel, h: OperatorMatrix,
     time."""
     groups = _blocks(h.csr, t.csr)
     parts = []
-    for hs, ts in zip(_gather(h.csr, groups), _gather(t.csr, groups)):
-        u = unitary_from_generator(ts, 1.0 / model.eps)
-        parts.append(u @ hs @ _dagger(u))
+    with _one_blas_thread():
+        for hs, ts in zip(_gather(h.csr, groups), _gather(t.csr, groups)):
+            u = unitary_from_generator(ts, 1.0 / model.eps)
+            parts.append(u @ hs @ _dagger(u))
     return OperatorMatrix(_block_diagonal(groups, parts, h.dim))
 
 
@@ -420,14 +484,16 @@ def dressed_comparison(model: FockModel) -> dict:
     sel = model.low_occupancy_indices(n_cut)
     restricted = conj.csr[sel][:, sel].toarray()
     diff = restricted - assembled.csr[sel][:, sel].toarray()
-    diff_norm = float(np.linalg.norm(diff, 2))
+    with _one_blas_thread():
+        diff_norm = float(np.linalg.norm(diff, 2))
+        scale = float(np.linalg.norm(restricted, 2))
     return {
         "conjugated": conj,
         "assembled": assembled,
         "parts": parts,
         "restricted_diff_norm": diff_norm,
         "expansion_holds": diff_norm < EXPANSION_TOL,
-        "restricted_scale": float(np.linalg.norm(restricted, 2)),
+        "restricted_scale": scale,
         "n_cut": n_cut,
         "subspace_dim": int(sel.size),
     }
@@ -504,9 +570,10 @@ class Propagator:
         groups = _blocks(h.csr)
         self.vals = np.empty(h.dim)
         vecs = []
-        for idx, stack in zip(groups, _gather(h.csr, groups)):
-            self.vals[idx], v = np.linalg.eigh(stack)
-            vecs.append(v)
+        with _one_blas_thread():
+            for idx, stack in zip(groups, _gather(h.csr, groups)):
+                self.vals[idx], v = np.linalg.eigh(stack)
+                vecs.append(v)
         self.vecs = _block_diagonal(groups, vecs, h.dim)
         self._vecs_h = self.vecs.conj().T.tocsr()
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polaronlab import dressing
 from polaronlab.dressing import (
     IDENTITY_TOL,
     cancellation_residual,
@@ -116,3 +117,18 @@ class TestConjugation:
         ends = info["errors"]
         assert ends == [r["error"] for r in rows if r["t"] == 0.5]
         assert 3.0 <= ends[0] / ends[1] <= 5.0
+
+    @pytest.mark.parametrize("levels", [(), (1e-2,)])
+    def test_order_needs_two_levels(self, monkeypatch, ff16, smooth_state,
+                                    levels):
+        """No order exists below two levels: refused before any flow."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return verify_conjugation(*args, **kwargs)
+
+        monkeypatch.setattr(dressing, "verify_conjugation", counting)
+        with pytest.raises(ValueError, match="two dt levels"):
+            conjugation_order(smooth_state, ff16, levels, 0.1)
+        assert calls == []

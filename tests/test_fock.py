@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 import scipy.linalg
 from scipy import sparse
 
+import polaronlab
 from polaronlab.fock import (
     BOHR_SLACK,
     KLMN_A_CAP,
@@ -13,6 +18,8 @@ from polaronlab.fock import (
     OperatorMatrix,
     Propagator,
     _blocks,
+    _one_blas_thread,
+    _openblas_libraries,
     assemble_dressed,
     build_T,
     build_free_hamiltonian,
@@ -484,3 +491,74 @@ def test_no_dense_operator_is_built(stage):
                                             model.eps)}[stage]
     run()
     assert traced_peak(run) < 16 * model.dim**2
+
+
+def _thread_counts(libraries) -> list:
+    return [get() for get, _ in libraries]
+
+
+def test_one_blas_thread_holds_and_restores():
+    """Inside the helper every loaded OpenBLAS runs one thread; after it,
+    each runs the count it had before.  A numpy built on scipy-openblas has
+    at least one to find."""
+    libraries = _openblas_libraries()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas["name"] == "scipy-openblas":
+        assert libraries
+    saved = _thread_counts(libraries)
+    try:
+        for _, put in libraries:
+            put(2)
+        with _one_blas_thread():
+            assert _thread_counts(libraries) == [1] * len(libraries)
+        assert _thread_counts(libraries) == [2] * len(libraries)
+    finally:
+        for (_, put), n in zip(libraries, saved):
+            put(n)
+
+
+def test_import_looks_up_no_blas_library():
+    """Importing the package (its command line loads every module) neither
+    looks up OpenBLAS nor sets a thread count: only entering the helper
+    does."""
+    src = os.path.dirname(os.path.dirname(polaronlab.__file__))
+    code = ("import polaronlab, polaronlab.cli; "
+            "from polaronlab.fock import _openblas_libraries as lookup; "
+            "print(lookup.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("stage", ["propagator", "dress_hamiltonian"])
+def test_block_kernels_run_on_one_thread(stage):
+    """The blocks of the dim-525 model are too small for a second BLAS
+    thread, which would only spin: 20 calls take no more process CPU than
+    1.3 times their wall time (two threads read about 2)."""
+    model = chain()
+    h, t = build_hamiltonian(model), build_T(model)
+    run = {"propagator": lambda: Propagator(h, model.eps),
+           "dress_hamiltonian": lambda: dress_hamiltonian(model, h, t)}[stage]
+    run()
+    time.sleep(0.5)  # let threads spinning after earlier BLAS calls settle
+    cpu0, wall0 = time.process_time(), time.perf_counter()
+    for _ in range(20):
+        run()
+    cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
+    assert cpu <= 1.3 * wall
+
+
+def test_operator_matrix_makes_no_blas_reduction(monkeypatch):
+    """OpenBLAS threads its dot product on long vectors, so the hermiticity
+    certificate reduces with ufuncs: it runs with BLAS reductions refused
+    (dim 1176)."""
+    h = build_hamiltonian(chain(n_max=5, dk=1e-6)).csr
+    assert h.shape[0] == 1176
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS reduction in OperatorMatrix")
+
+    for owner, name in ((np, "vdot"), (np, "dot"), (np.linalg, "norm")):
+        monkeypatch.setattr(owner, name, refuse)
+    OperatorMatrix(h)
