@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, dressing, dynamics, fock, hamiltonians, picard
+from . import diagnostics, dressing, dynamics, hamiltonians, picard
 from .initial_data import (ALPHA_FAMILIES, U_FAMILIES, build_state,
                            random_smooth_states)
 from .spectral import build_form_factors, build_grid
@@ -320,7 +320,13 @@ def run_strichartz(cfg, seed):
     return info, verdicts, rows
 
 
+# The fock_* figures import the Fock layer (and with it scipy.sparse) when they
+# run, so that a classical run never loads it.
+
+
 def _fock_model(cfg, eps=None, dk=None):
+    from . import fock
+
     f = cfg["fock"]
     return fock.FockModel(
         particle_momenta=list(f["particle_momenta"]),
@@ -337,6 +343,8 @@ def _quantity_rows(rep: dict, keys) -> list:
 
 
 def run_fock_lemma(cfg, seed):
+    from . import fock
+
     rep = fock.dressed_comparison(_fock_model(cfg, dk=cfg["fock"]["lemma_dk"]))
     info = {k: rep[k] for k in ("restricted_diff_norm", "restricted_scale",
                                 "n_cut", "subspace_dim")}
@@ -346,6 +354,8 @@ def run_fock_lemma(cfg, seed):
 
 
 def run_fock_correspondence(cfg, seed):
+    from . import fock
+
     f = cfg["fock"]
     res = fock.correspondence_experiment(
         lambda eps: _fock_model(cfg, eps=eps),
@@ -359,6 +369,8 @@ def run_fock_correspondence(cfg, seed):
 
 
 def run_fock_klmn(cfg, seed):
+    from . import fock
+
     rep = fock.klmn_check(_fock_model(cfg),
                           n_samples=cfg["fock"]["klmn_samples"], seed=seed)
     return (rep, {"form_bound": bool(rep["satisfied"])},
@@ -442,8 +454,11 @@ def main(argv=None) -> int:
     p_sweep.add_argument("config")
     p_sweep.add_argument("--param", required=True,
                          help="section.key to vary, e.g. evolution.dt")
-    p_sweep.add_argument("--values", required=True,
-                         help="comma-separated values")
+    p_sweep.add_argument(
+        "--values", required=True,
+        help="comma-separated values; for a key that holds a list, such as "
+             "scenario.dt_levels, values are separated by ';' and the "
+             "entries of one value by ','")
     p_sweep.add_argument("--outdir", default="out")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--scenario", default=None)
@@ -476,7 +491,9 @@ def main(argv=None) -> int:
                     f"--param must look like section.key, got {args.param!r}")
             if section not in SCHEMA or key not in SCHEMA[section]:
                 raise ConfigError(f"unknown sweep parameter {args.param!r}")
-            values = [v.strip() for v in args.values.split(",") if v.strip()]
+            # a value of a list-valued key is itself comma-separated
+            sep = ";" if SCHEMA[section][key][0] is _csv_floats else ","
+            values = [v.strip() for v in args.values.split(sep) if v.strip()]
             cfg = load_config(args.config)
             jobs, errors = [], []
             for v in values:

@@ -20,7 +20,8 @@ import numpy as np
 from .diagnostics import convergence_order
 from .dynamics import EvolutionConfig, Trajectory, dressed_evolve, lp_evolve
 from .hamiltonians import h_dressed, h_undressed
-from .spectral import FormFactorSet, GridMismatchError, PhasePoint, field_A
+from .spectral import (FormFactorSet, GridMismatchError, PhasePoint,
+                       SpectralGrid, field_A)
 
 CANCELLATION_TOL = 1e-10
 IDENTITY_TOL = 1e-9
@@ -28,40 +29,40 @@ T0_TOL = 1e-12
 CONJUGATION_ORDER_WINDOW = (1.7, 2.3)
 
 
-def dressing_phase(z: PhasePoint, ff: FormFactorSet,
-                   check_cancellation: bool = True) -> np.ndarray:
-    """Phase field A_{alpha, iB}(x), with the self-induced-part check."""
-    g = z.grid
-    if not g.same_as(ff.grid):
-        raise GridMismatchError("form factors built on a different grid")
-    phase = field_A(g, z.alpha, 1j * ff.B)
-    if check_cancellation:
-        resid = cancellation_residual(z, ff)
-        scale = 1.0 + float(np.max(np.abs(phase)))
-        if resid > CANCELLATION_TOL * scale:
-            raise AssertionError(
-                f"self-induced phase fails to cancel: residual {resid:.3e}")
-    return phase
-
-
 def cancellation_residual(z: PhasePoint, ff: FormFactorSet) -> float:
     """Peak value of the phase field induced by the alpha increment of the
     dressing; zero up to roundoff because the generating symbol is even."""
     g = z.grid
     w = z.u.real**2 + z.u.imag**2
-    induced = ff.B * g.fourier_dx(w)
+    return _induced_phase_peak(g, ff, ff.B * g.fourier_dx(w))
+
+
+def _induced_phase_peak(g: SpectralGrid, ff: FormFactorSet,
+                        induced: np.ndarray) -> float:
+    """Peak of the phase field A_{induced, iB} of an alpha increment."""
     return float(np.max(np.abs(field_A(g, induced, 1j * ff.B))))
 
 
 def dressing_apply(z: PhasePoint, theta: float, ff: FormFactorSet,
                    check_cancellation: bool = True) -> PhasePoint:
     """Apply the dressing flow at parameter theta (pure phase on u, shift
-    on alpha; mass preserved exactly)."""
+    on alpha; mass preserved exactly).  The phase is A_{alpha, iB}(x);
+    check_cancellation asserts that the alpha shift induces none, on the
+    one transform F(|u|^2) that the shift is built from."""
     g = z.grid
-    phase = dressing_phase(z, ff, check_cancellation=check_cancellation)
+    if not g.same_as(ff.grid):
+        raise GridMismatchError("form factors built on a different grid")
+    phase = field_A(g, z.alpha, 1j * ff.B)
     w = z.u.real**2 + z.u.imag**2
+    fw = g.fourier_dx(w)
+    if check_cancellation:
+        resid = _induced_phase_peak(g, ff, ff.B * fw)
+        scale = 1.0 + float(np.max(np.abs(phase)))
+        if resid > CANCELLATION_TOL * scale:
+            raise AssertionError(
+                f"self-induced phase fails to cancel: residual {resid:.3e}")
     u = z.u * np.exp(-1j * theta * phase)
-    alpha = z.alpha + theta * ff.B * g.fourier_dx(w)
+    alpha = z.alpha + theta * ff.B * fw
     return PhasePoint(g, u, alpha, check=False)
 
 

@@ -26,6 +26,12 @@ while it is held: the layer is not meant to run from two Python threads at
 once.  Model sizes are capped so correctness, not scale, is the
 product.  Operator identities are asserted away from the
 occupancy-truncation edge (sub-basis with total occupancy <= n_max/2).
+
+The SciPy modules that only this layer needs (solve_ivp, expm_multiply,
+connected_components) are imported at their one call site, so importing
+the module loads scipy.sparse and nothing more of SciPy: a process that
+never builds a Fock operator does not pay for scipy.integrate,
+scipy.optimize, scipy.linalg or scipy.sparse.linalg.
 """
 
 from __future__ import annotations
@@ -39,9 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
 
 from .spectral import abs2_sum, form_factor_f, gross_generator_b
 
@@ -343,6 +346,8 @@ def _blocks(*matrices) -> list:
     block size s, each row one block in increasing order.  Every matrix is
     block diagonal on them, and an entry of any size joins its row and
     column into one block."""
+    from scipy.sparse.csgraph import connected_components
+
     dim = matrices[0].shape[0]
     coos = [m.tocoo() for m in matrices]
     rows = np.concatenate([c.row[c.data != 0] for c in coos])
@@ -514,6 +519,8 @@ def coherent_state(model: FockModel, particle_amps,
     """Displaced vacuum exp((a*(z) - a(z))/eps) Omega concentrated at the
     classical mode amplitudes; expectation of each annihilator is the
     amplitude, occupancies are Poisson with mean |z_m|^2 / eps."""
+    from scipy.sparse.linalg import expm_multiply
+
     phi = np.asarray(particle_amps, dtype=np.complex128)
     alp = np.asarray(phonon_amps, dtype=np.complex128)
     if phi.shape != (model.n_particle_modes,):
@@ -542,6 +549,8 @@ def weyl_operator(model: FockModel, mode_amps, vectors) -> np.ndarray:
     W(f) = exp(i phi(f)), phi(f) = (a(f) + a*(f))/sqrt(2), f given by its
     amplitudes on all modes (particles first).  expm_multiply works on the
     sparse phi(f); no dim x dim array is built."""
+    from scipy.sparse.linalg import expm_multiply
+
     f = np.asarray(mode_amps, dtype=np.complex128)
     af = sum(np.conj(fm) * model._lower[m] for m, fm in enumerate(f))
     phi_f = (af + af.conj().T) / math.sqrt(2.0)
@@ -604,6 +613,8 @@ def classical_rhs(model: FockModel, phi: np.ndarray,
 def classical_flow(model: FockModel, phi0, alp0, times) -> np.ndarray:
     """High-order reference integration of the finite-mode Hamiltonian ODE,
     returning mode amplitudes (particles first) at the requested times."""
+    from scipy.integrate import solve_ivp
+
     mp = model.n_particle_modes
     mf = model.n_phonon_modes
 

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polaronlab
 from polaronlab.cli import (SCHEMA, ConfigError, _convert, load_config, main,
                             run_scenario)
 from polaronlab.initial_data import build_state
@@ -163,12 +167,13 @@ class TestConfig:
         assert "at least two levels" in capsys.readouterr().err
         assert main(["run", str(path), "--outdir", str(outdir)]) == 2
         assert "at least two levels" in capsys.readouterr().err
-        # each value of a sweep is one level; the sweep names every bad one
+        # a sweep of one level per value (values split on ';') is refused,
+        # and the sweep names every bad value
         path = write_config(tmp_path, body.replace(
             f"dt_levels = {levels}", "dt_levels = 2e-2,1e-2"))
         assert main(["validate", str(path)]) == 0
         assert main(["sweep", str(path), "--param", "scenario.dt_levels",
-                     "--values", "1e-2,3e-3", "--outdir", str(outdir)]) == 2
+                     "--values", "1e-2;3e-3", "--outdir", str(outdir)]) == 2
         err = capsys.readouterr().err
         assert "dt_levels=1e-2: " in err and "at least two levels" in err
         assert "dt_levels=3e-3: " in err and "dt = 0.003" in err
@@ -282,6 +287,32 @@ class TestRun:
         assert times["free"] == times["lp"]
         assert float(times["free"][-1]) == pytest.approx(0.15)
 
+    def test_sweep_takes_whole_lists_of_a_list_valued_key(self, tmp_path,
+                                                          capsys):
+        """A sweep value of a list-valued key is a whole list: values are
+        split on ';', so each run of a dt_levels sweep of energy_order gets
+        two levels, passes its check and writes its own directory."""
+        path = write_config(tmp_path, MINI.format(name="energy_order")
+                            + "dt_levels = 2e-2,1e-2\n")
+        outdir = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--param", "scenario.dt_levels",
+                     "--values", "2e-2,1e-2; 1e-2,5e-3", "--jobs", "1",
+                     "--outdir", str(outdir)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS scenario.dt_levels=2e-2,1e-2",
+            "PASS scenario.dt_levels=1e-2,5e-3"]
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "dt_levels=1e-2,5e-3", "dt_levels=2e-2,1e-2"]
+        for value, levels in (("2e-2,1e-2", {0.02, 0.01}),
+                              ("1e-2,5e-3", {0.01, 0.005})):
+            out = outdir / f"dt_levels={value}"
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["passed"]
+            assert set(summary["verdicts"]) == {"lp_second_order",
+                                                "dressed_second_order"}
+            rows = (out / "energy_order.csv").read_text().splitlines()[2:]
+            assert {float(r.split(",")[1]) for r in rows} == levels
+
     def test_scenario_override(self, tmp_path):
         path = write_config(tmp_path, MINI.format(name="lp"))
         code = main(["run", str(path), "--outdir", str(tmp_path / "out"),
@@ -386,3 +417,68 @@ class TestInitialData:
         z1 = build_state(g, p, seed=5)
         z2 = build_state(g, p, seed=5)
         assert z1.distance(z2) == 0.0
+
+
+# SciPy modules that only the Fock layer uses, each imported at its call site
+FOCK_ONLY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.linalg",
+                   "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
+def run_fresh(code: str, *names) -> list:
+    """Run code in a fresh interpreter importing the package under test;
+    return those of names (modules, with their submodules) it loaded."""
+    src = os.path.dirname(os.path.dirname(polaronlab.__file__))
+    code += ("\nimport json, sys\nprint(json.dumps(sorted({n for n in %r "
+             "for m in sys.modules if m == n or m.startswith(n + '.')})))"
+             % (names,))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestFootprint:
+    """A process loads the Fock layer's SciPy stack only when it runs a
+    Fock figure."""
+
+    def test_import_loads_no_fock_only_scipy_module(self):
+        assert run_fresh("import polaronlab, polaronlab.cli, polaronlab.fock",
+                         *FOCK_ONLY_SCIPY) == []
+
+    def test_classical_runs_load_no_fock_layer(self, tmp_path):
+        """Every classical scenario, run through the command line in one
+        process, leaves the Fock layer and scipy.sparse unloaded."""
+        runs = []
+        for name, (body, _) in TINY.items():
+            if not name.startswith("fock_"):
+                path = write_config(tmp_path, body, name=f"{name}.ini")
+                runs.append(f"assert main(['run', {str(path)!r}, '--outdir',"
+                            f" {str(tmp_path / name)!r}]) == 0")
+        assert len(runs) == 9
+        code = "from polaronlab.cli import main\n" + "\n".join(runs)
+        assert run_fresh(code, "polaronlab.fock", "scipy.sparse",
+                         *FOCK_ONLY_SCIPY) == []
+
+    def test_fock_run_loads_the_fock_layer_on_demand(self, tmp_path):
+        """A fock_correspondence run in a fresh process imports the layer
+        it needs and writes the figures the layer wrote when it was
+        imported with the command line."""
+        path = write_config(tmp_path, TINY["fock_correspondence"][0])
+        out = tmp_path / "out"
+        code = ("from polaronlab.cli import main\n"
+                f"assert main(['run', {str(path)!r}, '--outdir', "
+                f"{str(out)!r}]) == 0")
+        assert run_fresh(code, "polaronlab.fock", "scipy.integrate",
+                         "scipy.sparse.linalg", "scipy.sparse.csgraph") == [
+            "polaronlab.fock", "scipy.integrate", "scipy.sparse.csgraph",
+            "scipy.sparse.linalg"]
+        assert json.loads((out / "summary.json").read_text()) == {
+            "csv_schema": 1,
+            "info": {"eps": [0.5, 0.25, 0.125],
+                     "final_errors": [0.004683976743880167,
+                                      0.002383696955786927,
+                                      0.0018830549027398869]},
+            "passed": True,
+            "scenario": "fock_correspondence",
+            "seed": 0,
+            "verdicts": {"monotone_in_eps": True}}

@@ -1,5 +1,8 @@
+import collections
+
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from polaronlab import dressing
 from polaronlab.dressing import (
@@ -44,6 +47,25 @@ class TestDressingFlow:
                                 t2, ff16)
             zb = dressing_apply(smooth_state, t1 + t2, ff16)
             assert za.distance(zb) < 1e-10
+
+    @pytest.mark.parametrize("check, expected", [
+        (True, {"fftn": 1, "irfftn": 2}), (False, {"fftn": 1, "irfftn": 1})])
+    def test_transform_calls(self, monkeypatch, ff16, smooth_state, check,
+                             expected):
+        """|u|^2 is transformed once: the alpha shift and the cancellation
+        check share F(|u|^2), and each phase field is one c2r transform."""
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(sfft, name, counting(name, getattr(sfft, name)))
+        dressing_apply(smooth_state, 1.0, ff16, check_cancellation=check)
+        assert calls == expected
 
     def test_cancellation_residual(self, ff16, smooth_state):
         assert cancellation_residual(smooth_state, ff16) < 1e-10
