@@ -169,10 +169,10 @@ DT_LEVEL_HORIZONS = {"energy_order": ("evolution", "t_final"),
 
 def _check(cfg: dict, name: str | None = None) -> None:
     """Reject what the runners would reject only later: an unknown scenario,
-    [grid], [form_factors] or [evolution] values that the library refuses,
-    fewer than two dt_levels, or a dt_levels entry that EvolutionConfig
-    refuses with the horizon of the scenario that reads it.  name overrides
-    the config's scenario."""
+    [grid], [form_factors], [evolution] or [fock] values that the library
+    refuses, fewer than two dt_levels, or a dt_levels entry that
+    EvolutionConfig refuses with the horizon of the scenario that reads it.
+    name overrides the config's scenario."""
     name = name or cfg["scenario"]["name"]
     if name not in RUNNERS:
         raise ConfigError(f"unknown scenario {name!r}; choose from "
@@ -197,6 +197,19 @@ def _check(cfg: dict, name: str | None = None) -> None:
             raise ConfigError(
                 f"bad [scenario] dt_levels for {name}: an order needs at "
                 f"least two levels, got {len(levels)}")
+    if name.startswith("fock_"):
+        from . import fock
+
+        f = cfg["fock"]
+        try:
+            if name == "fock_correspondence":
+                for eps in f["eps_list"]:
+                    fock.mode_amplitudes(_fock_model(cfg, eps=eps),
+                                         f["phi0"], f["alpha0"])
+            else:
+                _fock_model(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"bad [fock] value for {name}: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -328,8 +341,8 @@ def run_strichartz(cfg, seed):
     return info, verdicts, rows
 
 
-# The fock_* figures import the Fock layer (and with it scipy.sparse) when they
-# run, so that a classical run never loads it.
+# The fock_* figures and their config check import the Fock layer (and with it
+# scipy.sparse) when they run, so that a classical run never loads it.
 
 
 def _fock_model(cfg, eps=None, dk=None):

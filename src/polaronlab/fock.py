@@ -12,23 +12,24 @@ number-weighted constant).
 
 Operators are scipy.sparse arrays built from the sparse ladder operators,
 and an OperatorMatrix keeps them sparse (a dense copy is built only on
-demand).  H and T conserve particle number and total momentum, so they are
-block diagonal on the occupation basis: the conjugation and the propagator
-work on the connected blocks of the operators' nonzero pattern, read from
-the sparse matrices themselves (a matrix without structure is one block).
-Blocks of equal size are gathered into one stack and decomposed by one
-batched eigh.  The blocks are small (at most 72 rows at dim 2352), too
-small for a second BLAS thread to pay, so the block kernels (the eigh
-loops, the batched products of the conjugation and the spectral norms of
-dressed_comparison) hold every OpenBLAS loaded in the process to one thread
-and restore the previous count afterwards.  That setting is process-global
-while it is held: the layer is not meant to run from two Python threads at
-once.  Model sizes are capped so correctness, not scale, is the
-product.  Operator identities are asserted away from the
+demand).  Every exponential applied to a state (the propagator e^{-itH/eps}
+and the Weyl operators, coherent states among them) is one expm_multiply
+on a sparse generator.  Only the Gross conjugation needs a full unitary: H
+and T conserve particle number and total momentum, so it works on the
+connected blocks of their nonzero pattern, read from the sparse matrices
+themselves.  Blocks of equal size are gathered into one stack and
+decomposed by one batched eigh.  They are small (at most 72 rows at dim
+2352), too small for a second BLAS thread to pay, so the conjugation's
+block kernels and the spectral norms of dressed_comparison hold every
+OpenBLAS loaded in the process to one thread and restore the previous count
+afterwards.  That setting is process-global while it is held: the layer is
+not meant to run from two Python threads at once.  Model sizes are capped
+before the basis is enumerated, so correctness, not scale, is the product.
+Operator identities are asserted away from the
 occupancy-truncation edge (sub-basis with total occupancy <= n_max/2).
 
 The SciPy modules that only this layer needs (solve_ivp, expm_multiply,
-connected_components) are imported at their one call site, so importing
+connected_components) are imported at their call sites, so importing
 the module loads scipy.sparse and nothing more of SciPy: a process that
 never builds a Fock operator does not pay for scipy.integrate,
 scipy.optimize, scipy.linalg or scipy.sparse.linalg.
@@ -39,7 +40,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -99,8 +99,8 @@ def _openblas_libraries() -> tuple:
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold every loaded OpenBLAS to one thread, and restore the count each
-    had on entry.  The Fock blocks are too small for a second thread to pay,
-    and an idle OpenBLAS thread spins after each call."""
+    had on entry.  The conjugation's blocks are too small for a second
+    thread to pay, and an idle OpenBLAS thread spins after each call."""
     libraries = _openblas_libraries()
     before = [get() for get, _ in libraries]
     for _, put in libraries:
@@ -146,17 +146,13 @@ class OperatorMatrix:
         return self.csr.shape[0]
 
 
-def _sector_tuples(n_modes: int, n_max: int):
-    """All occupation tuples of n_modes with total occupancy <= n_max."""
-    out = []
-    for total in range(n_max + 1):
-        for combo in itertools.combinations_with_replacement(
-                range(n_modes), total):
-            occ = [0] * n_modes
-            for c in combo:
-                occ[c] += 1
-            out.append(tuple(occ))
-    return sorted(out)
+def _sector_tuples(n_modes: int, n_max: int) -> list:
+    """All occupation tuples of n_modes with total occupancy <= n_max, in
+    lexicographic order."""
+    if n_modes == 0:
+        return [()]
+    return [(n,) + rest for n in range(n_max + 1)
+            for rest in _sector_tuples(n_modes - 1, n_max - n)]
 
 
 def _lowering_operators(occupancy: np.ndarray, eps: float) -> list:
@@ -222,14 +218,17 @@ class FockModel:
         self.B = gross_generator_b(k_mag, self.space_dim, self.sigma0)
         self.pair_symbol = self.B**2 + 2.0 * self.B * self.f
 
-        p_tuples = _sector_tuples(self.n_particle_modes, self.n_max_particles)
-        f_tuples = _sector_tuples(self.n_phonon_modes, self.n_max_phonons)
-        self.basis = [pt + ft for pt in p_tuples for ft in f_tuples]
-        self.dim = len(self.basis)
+        # M modes hold comb(M + n, M) occupation tuples of total <= n
+        self.dim = math.prod(math.comb(m + n, m) for m, n in (
+            (self.n_particle_modes, self.n_max_particles),
+            (self.n_phonon_modes, self.n_max_phonons)))
         if self.dim > max_dim:
             raise ValueError(
                 f"basis dimension {self.dim} exceeds the basis-size guard "
                 f"max_dim = {max_dim}")
+        p_tuples = _sector_tuples(self.n_particle_modes, self.n_max_particles)
+        f_tuples = _sector_tuples(self.n_phonon_modes, self.n_max_phonons)
+        self.basis = [pt + ft for pt in p_tuples for ft in f_tuples]
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.occupancy = np.asarray(self.basis, dtype=np.int64)
 
@@ -297,11 +296,8 @@ class FockModel:
             out = out + m_1p[i, j] * (self._raise[i] @ self._lower[j])
         return out
 
-    def total_occupancy(self) -> np.ndarray:
-        return self.occupancy.sum(axis=1)
-
     def low_occupancy_indices(self, n_cut: int) -> np.ndarray:
-        return np.where(self.total_occupancy() <= n_cut)[0]
+        return np.where(self.occupancy.sum(axis=1) <= n_cut)[0]
 
 
 # -- Hamiltonians ----------------------------------------------------------------
@@ -508,39 +504,38 @@ def dressed_comparison(model: FockModel) -> dict:
 
 def vacuum(model: FockModel) -> np.ndarray:
     v = np.zeros(model.dim, dtype=np.complex128)
-    v[model.index[tuple([0] * (model.n_particle_modes
-                               + model.n_phonon_modes))]] = 1.0
+    v[model.index[(0,) * model.occupancy.shape[1]]] = 1.0
     return v
+
+
+def mode_amplitudes(model: FockModel, particle_amps,
+                    phonon_amps) -> np.ndarray:
+    """Coherent-state amplitudes z on model, particles first; a ValueError
+    if a vector has the wrong length or if |z|^2/eps > n_max/3 in a sector
+    (the state would lean on the occupancy truncation)."""
+    phi = np.asarray(particle_amps, dtype=np.complex128)
+    alp = np.asarray(phonon_amps, dtype=np.complex128)
+    for z, n_modes, n_max, name in (
+            (phi, model.n_particle_modes, model.n_max_particles, "particle"),
+            (alp, model.n_phonon_modes, model.n_max_phonons, "phonon")):
+        if z.shape != (n_modes,):
+            raise ValueError(f"{name} amplitude vector has wrong length")
+        load = float(np.sum(np.abs(z) ** 2)) / model.eps
+        if load > n_max / 3.0:
+            raise ValueError(
+                f"{name} amplitude too large for the truncation: "
+                f"|z|^2/eps = {load:.3f} > n_max/3 = {n_max / 3.0:.3f}")
+    return np.concatenate([phi, alp])
 
 
 def coherent_state(model: FockModel, particle_amps,
                    phonon_amps) -> np.ndarray:
-    """Displaced vacuum exp((a*(z) - a(z))/eps) Omega concentrated at the
-    classical mode amplitudes; expectation of each annihilator is the
-    amplitude, occupancies are Poisson with mean |z_m|^2 / eps."""
-    from scipy.sparse.linalg import expm_multiply
-
-    phi = np.asarray(particle_amps, dtype=np.complex128)
-    alp = np.asarray(phonon_amps, dtype=np.complex128)
-    if phi.shape != (model.n_particle_modes,):
-        raise ValueError("particle amplitude vector has wrong length")
-    if alp.shape != (model.n_phonon_modes,):
-        raise ValueError("phonon amplitude vector has wrong length")
-    for norm2, n_max, name in (
-            (float(np.sum(np.abs(phi) ** 2)), model.n_max_particles,
-             "particle"),
-            (float(np.sum(np.abs(alp) ** 2)), model.n_max_phonons, "phonon")):
-        if norm2 / model.eps > n_max / 3.0:
-            raise ValueError(
-                f"{name} amplitude too large for the truncation: "
-                f"|z|^2/eps = {norm2 / model.eps:.3f} > n_max/3 = "
-                f"{n_max / 3.0:.3f}")
-    gen = sparse.csr_array((model.dim, model.dim), dtype=np.complex128)
-    for zm, low, up in zip(np.concatenate([phi, alp]), model._lower,
-                           model._raise):
-        if zm != 0:
-            gen = gen + (zm * up - np.conj(zm) * low)
-    return expm_multiply(gen / model.eps, vacuum(model))
+    """Displaced vacuum W(sqrt(2) z/(i eps)) Omega = exp((a*(z) - a(z))/eps)
+    Omega at the mode amplitudes z: <a_m> = z_m, and the occupancies are
+    Poisson with mean |z_m|^2 / eps."""
+    z = mode_amplitudes(model, particle_amps, phonon_amps)
+    return weyl_operator(model, math.sqrt(2) * z / (1j * model.eps),
+                         vacuum(model))
 
 
 def weyl_operator(model: FockModel, mode_amps, vectors) -> np.ndarray:
@@ -569,25 +564,16 @@ def mode_expectations(model: FockModel, state: np.ndarray) -> np.ndarray:
 
 
 class Propagator:
-    """exp(-i t H / eps) applied through one batched eigendecomposition per
-    block size of H; the block eigenvectors form one sparse block-diagonal
-    matrix, whose column idx[k] holds eigenvector k of the block on idx."""
+    """exp(-i t H / eps) applied by expm_multiply on the sparse generator
+    -iH/eps; no eigendecomposition and no dense matrix is made."""
 
     def __init__(self, h: OperatorMatrix, eps: float):
-        self.eps = eps
-        groups = _blocks(h.csr)
-        self.vals = np.empty(h.dim)
-        vecs = []
-        with _one_blas_thread():
-            for idx, stack in zip(groups, _gather(h.csr, groups)):
-                self.vals[idx], v = np.linalg.eigh(stack)
-                vecs.append(v)
-        self.vecs = _block_diagonal(groups, vecs, h.dim)
-        self._vecs_h = self.vecs.conj().T.tocsr()
+        self.generator = (-1j / eps) * h.csr
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
-        coef = self._vecs_h @ state
-        return self.vecs @ (np.exp(-1j * t * self.vals / self.eps) * coef)
+        from scipy.sparse.linalg import expm_multiply
+
+        return expm_multiply(t * self.generator, state)
 
 
 # -- classical finite-mode flow --------------------------------------------------------
@@ -659,14 +645,13 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
         if reference is None:
             reference = classical_flow(model, particle_amps, phonon_amps,
                                        times)
-        h = build_hamiltonian(model)
-        prop = Propagator(h, model.eps)
-        psi0 = coherent_state(model, particle_amps, phonon_amps)
+        prop = Propagator(build_hamiltonian(model), model.eps)
+        psi_t = coherent_state(model, particle_amps, phonon_amps)
         n1, n2 = model.sector_totals()
         edge = (n1 == model.n_max_particles) | (n2 == model.n_max_phonons)
         errs, weights = [], []
-        for i, t in enumerate(times):
-            psi_t = prop.apply(psi0, t)
+        for i, dt in enumerate(np.diff(times, prepend=0.0)):
+            psi_t = prop.apply(psi_t, dt)
             modes = mode_expectations(model, psi_t)
             errs.append(float(np.linalg.norm(modes - reference[i])))
             weights.append(float(np.sum(np.abs(psi_t[edge]) ** 2)))

@@ -134,6 +134,47 @@ class TestConfig:
         assert f"[{section}]" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("name", ["fock_lemma", "fock_correspondence",
+                                      "fock_klmn"])
+    def test_fock_basis_above_the_guard_is_a_config_error(self, tmp_path,
+                                                          capsys, name):
+        """A [fock] basis above FockModel's size guard (dim 41 405 at
+        n_max 12) is refused by validate, run and sweep."""
+        body = FOCK.format(name, n=12)
+        path = write_config(tmp_path, body)
+        outdir = tmp_path / "out"
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--outdir", str(outdir)]):
+            assert main(argv) == 2
+            assert "basis-size guard" in capsys.readouterr().err
+        path = write_config(tmp_path, FOCK.format(name, n=4))
+        assert main(["sweep", str(path), "--param", "fock.n_max_phonons",
+                     "--values", "4,40", "--outdir", str(outdir)]) == 2
+        assert "basis-size guard" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("key, value", [("n_max_phonons", "0"),
+                                            ("eps_list", "0.5,0.01"),
+                                            ("alpha0", "0.2")])
+    def test_coherent_data_refused_by_the_margin_rule(self, tmp_path, capsys,
+                                                      key, value):
+        """fock_correspondence data that fock.mode_amplitudes refuses for
+        some eps_list entry (amplitudes past the truncation margin, or of
+        the wrong length) is a config error in validate, run and sweep."""
+        body = "[scenario]\nname = fock_correspondence\n[fock]\n"
+        path = write_config(tmp_path, body + f"{key} = {value}\n")
+        outdir = tmp_path / "out"
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--outdir", str(outdir)]):
+            assert main(argv) == 2
+            assert "[fock]" in capsys.readouterr().err
+        path = write_config(tmp_path, body)
+        values = value.replace(",", ";") if key == "eps_list" else value
+        assert main(["sweep", str(path), "--param", f"fock.{key}",
+                     "--values", values, "--outdir", str(outdir)]) == 2
+        assert "[fock]" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_scheme_is_an_unknown_key(self, tmp_path, capsys):
         path = write_config(tmp_path, "[evolution]\nscheme = strang-split\n")
         assert main(["validate", str(path)]) == 2
@@ -486,8 +527,9 @@ class TestFootprint:
 
     def test_fock_run_loads_the_fock_layer_on_demand(self, tmp_path):
         """A fock_correspondence run in a fresh process imports the layer
-        it needs and writes the figures the layer wrote when it was
-        imported with the command line."""
+        it needs, and not the block conjugation's scipy.sparse.csgraph, and
+        writes the figures the layer wrote when it was imported with the
+        command line."""
         path = write_config(tmp_path, TINY["fock_correspondence"][0])
         out = tmp_path / "out"
         code = ("from polaronlab.cli import main\n"
@@ -495,14 +537,13 @@ class TestFootprint:
                 f"{str(out)!r}]) == 0")
         assert run_fresh(code, "polaronlab.fock", "scipy.integrate",
                          "scipy.sparse.linalg", "scipy.sparse.csgraph") == [
-            "polaronlab.fock", "scipy.integrate", "scipy.sparse.csgraph",
-            "scipy.sparse.linalg"]
+            "polaronlab.fock", "scipy.integrate", "scipy.sparse.linalg"]
         assert json.loads((out / "summary.json").read_text()) == {
             "csv_schema": 1,
             "info": {"eps": [0.5, 0.25, 0.125],
-                     "final_errors": [0.004683976743880167,
-                                      0.002383696955786927,
-                                      0.0018830549027398869]},
+                     "final_errors": [0.004683976743880257,
+                                      0.0023836969557870296,
+                                      0.0018830549027398125]},
             "passed": True,
             "scenario": "fock_correspondence",
             "seed": 0,

@@ -11,6 +11,7 @@ import scipy.linalg
 from scipy import sparse
 
 import polaronlab
+from polaronlab import fock
 from polaronlab.fock import (
     BOHR_SLACK,
     KLMN_A_CAP,
@@ -31,6 +32,7 @@ from polaronlab.fock import (
     dressed_comparison,
     expect,
     klmn_check,
+    mode_amplitudes,
     mode_expectations,
     unitary_from_generator,
     vacuum,
@@ -69,6 +71,22 @@ class TestModel:
         with pytest.raises(ValueError):
             FockModel([0.0], [1.0], dk=1.0, eps=0.5, n_max_particles=200,
                       n_max_phonons=200, sigma0=0.5, max_dim=100)
+
+    @pytest.mark.parametrize("n_p, n_f", [(0, 3), (2, 5), (6, 6)])
+    def test_dimension_formula_counts_the_basis(self, n_p, n_f):
+        model = FockModel([0.0, 1.0, 2.0], [1.0, 2.0], dk=0.5, eps=0.5,
+                          n_max_particles=n_p, n_max_phonons=n_f, sigma0=1.5)
+        assert model.dim == len(model.basis) == len(set(model.basis))
+
+    def test_guard_refuses_before_enumerating(self, monkeypatch):
+        """n_max 400 on the chain is a basis of about 9e11 states: the guard
+        refuses it from the count, without listing one."""
+        def enumerate_nothing(*args):
+            raise AssertionError("the basis was enumerated")
+
+        monkeypatch.setattr(fock, "_sector_tuples", enumerate_nothing)
+        with pytest.raises(ValueError, match="basis-size guard"):
+            chain(n_max=400)
 
     def test_ccr_away_from_ceiling(self, toy):
         # [a, a*] = eps on the sub-basis that cannot touch the cutoff
@@ -251,7 +269,7 @@ class TestCoherentStates:
         assert np.max(np.abs(psi - vacuum(toy))) < 1e-14
 
     def test_mode_expectations(self, toy):
-        amps = np.array([0.2, 0.1, 0.0, 0.15, 0.1])
+        amps = np.array([0.2, 0.1j, 0.0, 0.15, -0.1 + 0.05j])
         psi = coherent_state(toy, amps[:3], amps[3:])
         got = mode_expectations(toy, psi)
         assert np.max(np.abs(got - amps)) < 1e-6
@@ -266,9 +284,12 @@ class TestCoherentStates:
 
     def test_margin_rule(self, toy):
         # |z|^2 / eps must stay below n_max / 3
-        with pytest.raises(ValueError):
-            coherent_state(toy, [math.sqrt(0.5 * toy.n_max_particles), 0, 0],
-                           [0, 0])
+        z = [math.sqrt(0.5 * toy.n_max_particles), 0, 0]
+        for refuse in (mode_amplitudes, coherent_state):
+            with pytest.raises(ValueError, match="too large"):
+                refuse(toy, z, [0, 0])
+        edge = math.sqrt(toy.eps * toy.n_max_phonons / 3.0)
+        assert mode_amplitudes(toy, [0, 0, 0], [edge, 0])[3] == edge
 
     def test_weyl_relation(self):
         # two modes with a deep truncation so the composition law is clean
@@ -290,7 +311,35 @@ class TestCoherentStates:
         assert np.max(np.abs(lhs - np.conj(phase) * wfg)) > 1e-8
 
 
+def dense_propagation(op: OperatorMatrix, eps: float, state, t: float):
+    """e^{-itH/eps} state from one dense eigendecomposition of H."""
+    vals, vecs = np.linalg.eigh(op.matrix)
+    return vecs @ (np.exp(-1j * t * vals / eps) * (vecs.conj().T @ state))
+
+
 class TestEvolution:
+    @pytest.mark.parametrize("dressed", [False, True])
+    def test_apply_matches_dense_eigh(self, toy, dressed):
+        h = build_hamiltonian(toy)
+        if dressed:
+            h = dress_hamiltonian(toy, h, build_T(toy))
+        prop = Propagator(h, toy.eps)
+        psi = coherent_state(toy, [0.2, 0.1j, 0.0], [0.1, -0.1])
+        for t in (0.0, 0.1, 0.5, 1.3, 4.0):
+            assert np.max(np.abs(prop.apply(psi, t) - dense_propagation(
+                h, toy.eps, psi, t))) < 1e-12
+
+    def test_stepping_matches_one_shot(self, toy):
+        """Stepping through the sampled times, as correspondence_experiment
+        does, lands where one propagation to each time lands."""
+        prop = Propagator(build_hamiltonian(toy), toy.eps)
+        psi0 = coherent_state(toy, [0.2, 0.1j, 0.0], [0.1, -0.1])
+        psi = psi0
+        times = np.linspace(0.0, 0.5, 6)
+        for dt, t in zip(np.diff(times, prepend=0.0), times):
+            psi = prop.apply(psi, dt)
+            assert np.max(np.abs(psi - prop.apply(psi0, t))) < 1e-13
+
     def test_propagator_unitary(self, toy):
         h = build_hamiltonian(toy)
         prop = Propagator(h, toy.eps)
@@ -327,19 +376,15 @@ class TestEvolution:
         psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         eps, t = 0.5, 0.7
 
-        def dense(mat):
-            vals, vecs = np.linalg.eigh(mat)
-            return vecs @ (np.exp(-1j * t * vals / eps)
-                           * (vecs.conj().T @ psi))
-
         for coupling, blocks in ((0.0, [[0, 2, 4], [1, 3, 5]]),
                                  (1e-14, [list(range(6))])):
             m[4, 1] = m[1, 4] = coupling
             found = [b.tolist() for group in _blocks(sparse.csr_array(m))
                      for b in group]
             assert sorted(found) == blocks
-            prop = Propagator(OperatorMatrix(m), eps)
-            assert np.max(np.abs(prop.apply(psi, t) - dense(m))) < 1e-12
+            op = OperatorMatrix(m)
+            assert np.max(np.abs(Propagator(op, eps).apply(psi, t)
+                                 - dense_propagation(op, eps, psi, t))) < 1e-12
 
     def test_undressed_route_via_conjugation(self, toy):
         # e^{-itH/eps} equals U* e^{-it UHU*/eps} U
@@ -349,7 +394,7 @@ class TestEvolution:
         u = unitary_from_generator(t_op.matrix, 1.0 / toy.eps)
         psi = coherent_state(toy, [0.2, 0.1, 0.0], [0.1, 0.1])
         t = 0.4
-        direct = Propagator(h, toy.eps).apply(psi, t)
+        direct = dense_propagation(h, toy.eps, psi, t)
         routed = u.conj().T @ Propagator(hd, toy.eps).apply(u @ psi, t)
         assert np.max(np.abs(direct - routed)) < 1e-9
 
@@ -450,9 +495,9 @@ class TestKLMN:
 
 
 def test_eigh_sees_no_block_beyond_a_sector(monkeypatch):
-    """The conjugation and the propagator diagonalise one (N1, P) sector at a
-    time, never the whole space: every eigh input, single matrix or stack,
-    is at most one sector wide."""
+    """The conjugation diagonalises one (N1, P) sector at a time, never the
+    whole space: every eigh input, single matrix or stack, is at most one
+    sector wide.  The correspondence experiment reaches no eigh at all."""
     shapes = []
 
     def recording(eigh):
@@ -464,9 +509,10 @@ def test_eigh_sees_no_block_beyond_a_sector(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
     monkeypatch.setattr(scipy.linalg, "eigh", recording(scipy.linalg.eigh))
     model = chain(dk=1e-6)
-    dressed_comparison(model)
     correspondence_experiment(chain, [0.5, 0.25], [0.2, 0.1, 0.0],
                               [0.15, 0.1], 0.5, n_times=3)
+    assert shapes == []
+    dressed_comparison(model)
     _, sizes = sectors(model)
     assert shapes and max(max(s) for s in shapes) <= sizes.max() < model.dim
 
@@ -481,16 +527,42 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def propagate(model: FockModel, h: OperatorMatrix, psi0, times) -> list:
+    """A Propagator of h applied to psi0 at each of the times."""
+    prop = Propagator(h, model.eps)
+    return [prop.apply(psi0, t) for t in times]
+
+
 @pytest.mark.parametrize("stage", ["dressed_comparison", "propagator"])
 def test_no_dense_operator_is_built(stage):
     """The conjugation and the propagator stay sparse: neither allocates as
     much as one dense dim x dim complex matrix at any moment."""
     model = chain(dk=1e-6)
+    h = build_hamiltonian(model)
+    psi0 = coherent_state(model, [0.2, 0.1, 0.0], [0.15, 0.1])
     run = {"dressed_comparison": lambda: dressed_comparison(model),
-           "propagator": lambda: Propagator(build_hamiltonian(model),
-                                            model.eps)}[stage]
+           "propagator": lambda: propagate(model, h, psi0,
+                                           np.linspace(0.0, 0.5, 6))}[stage]
     run()
     assert traced_peak(run) < 16 * model.dim**2
+
+
+def test_propagation_scales_to_dim_28392():
+    """Six sampled times at eps = 1/32, n_max 11 (acceptance 10's mode
+    layout and data): the Krylov propagation's traced peak stays under
+    64 MB (measured 19.5 MB; a block eigendecomposition of H peaked at
+    409 MB here)."""
+    model = FockModel([0.0, 1.0, 2.0], [1.0, 2.0], dk=0.5, eps=1 / 32,
+                      n_max_particles=11, n_max_phonons=11, sigma0=1.5,
+                      max_dim=30000)
+    assert model.dim == 28392
+    h = build_hamiltonian(model)
+    psi0 = coherent_state(model, [0.25, 0.15, 0.0], [0.2, 0.1])
+    states = []
+    peak = traced_peak(lambda: states.extend(
+        propagate(model, h, psi0, np.linspace(0.0, 0.5, 6))))
+    assert peak < 64e6
+    assert all(abs(np.linalg.norm(s) - 1.0) < 1e-12 for s in states)
 
 
 def _thread_counts(libraries) -> list:
@@ -533,12 +605,15 @@ def test_import_looks_up_no_blas_library():
 
 @pytest.mark.parametrize("stage", ["propagator", "dress_hamiltonian"])
 def test_block_kernels_run_on_one_thread(stage):
-    """The blocks of the dim-525 model are too small for a second BLAS
-    thread, which would only spin: 20 calls take no more process CPU than
-    1.3 times their wall time (two threads read about 2)."""
+    """At dim 525 neither the conjugation's blocks nor the propagator's
+    sparse products pay a second BLAS thread, which would only spin: 20
+    calls take no more process CPU than 1.3 times their wall time (two
+    threads read about 2)."""
     model = chain()
     h, t = build_hamiltonian(model), build_T(model)
-    run = {"propagator": lambda: Propagator(h, model.eps),
+    psi0 = coherent_state(model, [0.2, 0.1, 0.0], [0.15, 0.1])
+    run = {"propagator": lambda: propagate(model, h, psi0,
+                                           np.linspace(0.0, 0.5, 6)),
            "dress_hamiltonian": lambda: dress_hamiltonian(model, h, t)}[stage]
     run()
     time.sleep(0.5)  # let threads spinning after earlier BLAS calls settle
