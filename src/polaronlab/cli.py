@@ -170,8 +170,9 @@ DT_LEVEL_HORIZONS = {"energy_order": ("evolution", "t_final"),
 def _check(cfg: dict, name: str | None = None) -> None:
     """Reject what the runners would reject only later: an unknown scenario,
     [grid], [form_factors], [evolution] or [fock] values that the library
-    refuses, fewer than two dt_levels, or a dt_levels entry that
-    EvolutionConfig refuses with the horizon of the scenario that reads it.
+    refuses, fewer than two dt_levels, a dt_levels entry that
+    EvolutionConfig refuses with the horizon of the scenario that reads it,
+    or fewer than two distinct eps_list values for fock_correspondence.
     name overrides the config's scenario."""
     name = name or cfg["scenario"]["name"]
     if name not in RUNNERS:
@@ -201,6 +202,11 @@ def _check(cfg: dict, name: str | None = None) -> None:
         from . import fock
 
         f = cfg["fock"]
+        n_eps = len(set(f["eps_list"]))
+        if name == "fock_correspondence" and n_eps < 2:
+            raise ConfigError(
+                f"bad [fock] eps_list for {name}: the errors can only fall "
+                f"with eps over at least two distinct values, got {n_eps}")
         try:
             if name == "fock_correspondence":
                 for eps in f["eps_list"]:

@@ -631,7 +631,8 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
 
     model_factory(eps) must return models sharing the mode layout.  Returns
     the error table err[eps][t], the final errors in decreasing eps, and
-    whether they fall with eps (BOHR_SLACK allowed; no rate claimed).  Also
+    whether they fall with eps (BOHR_SLACK allowed; no rate claimed; False
+    with fewer than two distinct eps, where nothing can fall).  Also
     returns edge_weight[eps], the largest probability over the sampled times
     on basis states at an occupancy cap (N1 = n_max_particles or
     N2 = n_max_phonons), where the truncation acts.
@@ -650,8 +651,9 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
         n1, n2 = model.sector_totals()
         edge = (n1 == model.n_max_particles) | (n2 == model.n_max_phonons)
         errs, weights = [], []
-        for i, dt in enumerate(np.diff(times, prepend=0.0)):
-            psi_t = prop.apply(psi_t, dt)
+        for i, t in enumerate(times):
+            if i:  # psi_t starts as the coherent state at times[0] = 0
+                psi_t = prop.apply(psi_t, t - times[i - 1])
             modes = mode_expectations(model, psi_t)
             errs.append(float(np.linalg.norm(modes - reference[i])))
             weights.append(float(np.sum(np.abs(psi_t[edge]) ** 2)))
@@ -659,7 +661,8 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
         edge_weight[eps] = max(weights)
     eps_desc = sorted(table, reverse=True)
     final = [table[eps][-1] for eps in eps_desc]
-    monotone = all(b <= BOHR_SLACK * a for a, b in zip(final, final[1:]))
+    monotone = len(final) >= 2 and all(
+        b <= BOHR_SLACK * a for a, b in zip(final, final[1:]))
     return {"times": times.tolist(), "errors": table, "eps": eps_desc,
             "final_errors": final, "monotone": monotone,
             "edge_weight": edge_weight}

@@ -169,10 +169,32 @@ class TestConfig:
             assert main(argv) == 2
             assert "[fock]" in capsys.readouterr().err
         path = write_config(tmp_path, body)
-        values = value.replace(",", ";") if key == "eps_list" else value
         assert main(["sweep", str(path), "--param", f"fock.{key}",
-                     "--values", values, "--outdir", str(outdir)]) == 2
+                     "--values", value, "--outdir", str(outdir)]) == 2
         assert "[fock]" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("eps_list", ["", "0.5", "0.5,0.5"])
+    def test_fewer_than_two_eps_rejected(self, tmp_path, capsys, eps_list):
+        """fock_correspondence's monotone_in_eps verdict compares eps_list
+        values: validate, run and sweep refuse fewer than two distinct ones
+        before any run starts."""
+        body = "[scenario]\nname = fock_correspondence\n[fock]\n"
+        path = write_config(tmp_path, body + f"eps_list = {eps_list}\n")
+        outdir = tmp_path / "out"
+        for argv in (["validate", str(path)],
+                     ["run", str(path), "--outdir", str(outdir)]):
+            assert main(argv) == 2
+            assert "two distinct values" in capsys.readouterr().err
+        # a sweep drops empty values, so its bad value is a one-entry list
+        # where the row's own is empty
+        path = write_config(tmp_path, body)
+        assert main(["validate", str(path)]) == 0
+        assert main(["sweep", str(path), "--param", "fock.eps_list",
+                     "--values", f"0.5,0.25;{eps_list or '0.25'}",
+                     "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "two distinct values" in err and "eps_list=0.5,0.25" not in err
         assert not outdir.exists()
 
     def test_scheme_is_an_unknown_key(self, tmp_path, capsys):

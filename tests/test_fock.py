@@ -450,6 +450,34 @@ class TestCorrespondence:
                                        for e in (0.5, 0.25)]
         assert res["monotone"]
 
+    def test_propagates_only_between_sampled_times(self, monkeypatch):
+        """The state starts as the coherent state at times[0] = 0 and is
+        propagated n_times - 1 steps, each over a positive time."""
+        steps = []
+        apply = Propagator.apply
+
+        def recording(self, state, t):
+            steps.append(t)
+            return apply(self, state, t)
+
+        monkeypatch.setattr(Propagator, "apply", recording)
+        res = correspondence_experiment(lambda eps: chain(eps, n_max=5),
+                                        [0.5], [0.2, 0.1, 0.0], [0.15, 0.1],
+                                        0.5, n_times=6)
+        assert len(steps) == 5 and min(steps) > 0
+        assert np.isclose(sum(steps), 0.5)
+        assert len(res["errors"][0.5]) == 6
+
+    @pytest.mark.parametrize("eps_values", [[], [0.5], [0.5, 0.5]])
+    def test_monotone_needs_two_eps(self, eps_values):
+        """With fewer than two distinct eps nothing can fall with eps: the
+        verdict reads False, without raising."""
+        res = correspondence_experiment(lambda eps: chain(eps, n_max=5),
+                                        eps_values, [0.2, 0.1, 0.0],
+                                        [0.15, 0.1], 0.5, n_times=3)
+        assert len(res["final_errors"]) == len(set(eps_values))
+        assert res["monotone"] is False
+
     def test_edge_weight_small_on_acceptance_data(self):
         # the data of acceptance 10
         res = correspondence_experiment(lambda eps: chain(eps, n_max=6),
