@@ -389,7 +389,8 @@ def run_fock_correspondence(cfg, seed):
         list(f["eps_list"]), list(f["phi0"]), list(f["alpha0"]),
         f["t_final"], n_times=f["n_times"])
     return ({"eps": res["eps"], "final_errors": res["final_errors"]},
-            {"monotone_in_eps": res["monotone"]},
+            {"monotone_in_eps": res["monotone"],
+             "sqrt_rate_in_eps": res["sqrt_rate"]},
             [{"eps": eps, "t": t, "error": e}
              for eps, errs in res["errors"].items()
              for t, e in zip(res["times"], errs)])

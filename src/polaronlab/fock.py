@@ -13,26 +13,31 @@ number-weighted constant).
 Operators are scipy.sparse arrays built from the sparse ladder operators,
 and an OperatorMatrix keeps them sparse (a dense copy is built only on
 demand).  Every exponential applied to a state (the propagator e^{-itH/eps}
-and the Weyl operators, coherent states among them) is one expm_multiply
-on a sparse generator.  Only the Gross conjugation needs a full unitary: H
-and T conserve particle number and total momentum, so it works on the
-connected blocks of their nonzero pattern, read from the sparse matrices
-themselves.  Blocks of equal size are gathered into one stack and
-decomposed by one batched eigh.  They are small (at most 72 rows at dim
-2352), too small for a second BLAS thread to pay, so the conjugation's
-block kernels and the spectral norms of dressed_comparison hold every
-OpenBLAS loaded in the process to one thread and restore the previous count
-afterwards.  That setting is process-global while it is held: the layer is
-not meant to run from two Python threads at once.  Model sizes are capped
-before the basis is enumerated, so correctness, not scale, is the product.
-Operator identities are asserted away from the
-occupancy-truncation edge (sub-basis with total occupancy <= n_max/2).
+and the Weyl operators, coherent states among them) is one Chebyshev
+series in a sparse hermitian generator, mapped into [-1, 1] by a Gershgorin
+enclosure of its spectrum; a Propagator makes the enclosure once for its
+operator, and each apply pays only sparse products.  Only the Gross
+conjugation needs a full unitary: H and T conserve particle number and
+total momentum, so it works on the connected blocks of their nonzero
+pattern, read from the sparse matrices themselves.  Blocks of equal size
+are gathered into one stack and decomposed by one batched eigh.  They are
+small (at most 72 rows at dim 2352), too small for a second BLAS thread to
+pay, so the conjugation's block kernels and the spectral norms of
+dressed_comparison hold every OpenBLAS loaded in the process to one thread
+and restore the previous count afterwards.  That setting is process-global
+while it is held: the layer is not meant to run from two Python threads at
+once.  Model sizes are capped before the basis is enumerated, so
+correctness, not scale, is the product.  Operator identities are asserted
+away from the occupancy-truncation edge (sub-basis with total occupancy
+<= n_max/2).
 
-The SciPy modules that only this layer needs (solve_ivp, expm_multiply,
-connected_components) are imported at their call sites, so importing
-the module loads scipy.sparse and nothing more of SciPy: a process that
-never builds a Fock operator does not pay for scipy.integrate,
-scipy.optimize, scipy.linalg or scipy.sparse.linalg.
+The SciPy modules that only this layer needs (solve_ivp,
+connected_components) are imported at their call sites, and the Bessel
+functions of the Chebyshev coefficients come from scipy.special, which
+scipy.fft loads for the lattice layer.  So importing the module loads
+scipy.sparse and nothing more of SciPy: a process that never builds a Fock
+operator does not pay for scipy.integrate, scipy.optimize, scipy.linalg,
+scipy.sparse.linalg or scipy.sparse.csgraph.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.special import jv  # loaded with scipy.fft by .spectral
 
 from .spectral import abs2_sum, form_factor_f, gross_generator_b
 
@@ -55,8 +61,17 @@ EXPANSION_TOL = 1e-6
 KLMN_SECTORS = (1, 2)
 KLMN_A_CAP = 0.9
 BOHR_SLACK = 1.1
+# the final Bohr error must fall at least like eps**BOHR_RATE from the
+# largest eps to the smallest
+BOHR_RATE = 0.5
 # relative and absolute tolerance of the DOP853 reference in classical_flow
 CLASSICAL_FLOW_TOL = 1e-12
+# the Chebyshev series of e^{-i tau H} stops when the discarded Bessel tail
+# is below the unit roundoff (expm_multiply's target too), and refuses to
+# take more than CHEBYSHEV_TERMS terms (sparse products); with [a - b, a + b]
+# the spectral enclosure of H it takes about tau*b + 11 (tau*b)^(1/3) terms
+CHEBYSHEV_TOL = 2.0**-53
+CHEBYSHEV_TERMS = 10_000
 
 
 # OpenBLAS thread-count entry points, by build: scipy-openblas64, scipy-openblas
@@ -541,14 +556,13 @@ def coherent_state(model: FockModel, particle_amps,
 def weyl_operator(model: FockModel, mode_amps, vectors) -> np.ndarray:
     """W(f) applied to vectors (a state or a (dim, k) stack of them), with
     W(f) = exp(i phi(f)), phi(f) = (a(f) + a*(f))/sqrt(2), f given by its
-    amplitudes on all modes (particles first).  expm_multiply works on the
-    sparse phi(f); no dim x dim array is built."""
-    from scipy.sparse.linalg import expm_multiply
-
+    amplitudes on all modes (particles first): the Chebyshev series of
+    e^{-i tau H} at H = -phi(f), tau = 1, on the sparse phi(f); no dim x dim
+    array is built."""
     f = np.asarray(mode_amps, dtype=np.complex128)
     af = sum(np.conj(fm) * model._lower[m] for m, fm in enumerate(f))
-    phi_f = (af + af.conj().T) / math.sqrt(2.0)
-    return expm_multiply(1j * phi_f, vectors)
+    minus_phi_f = (af + af.conj().T) / -math.sqrt(2.0)
+    return _chebyshev_exp(_enclosure(minus_phi_f), 1.0, vectors)
 
 
 def expect(op, state: np.ndarray) -> complex:
@@ -563,17 +577,88 @@ def mode_expectations(model: FockModel, state: np.ndarray) -> np.ndarray:
 # -- quantum evolution ---------------------------------------------------------------
 
 
+def _enclosure(h: sparse.csr_array) -> tuple:
+    """(a, b, X) for a hermitian h: [a - b, a + b] encloses its spectrum by
+    Gershgorin (the diagonal, plus or minus the off-diagonal absolute row
+    sums), and X = (h - a)/b, so ||X|| <= 1; X is None when b = 0."""
+    n = h.shape[0]
+    d = h.diagonal().real
+    rows = np.repeat(np.arange(n), np.diff(h.indptr))
+    r = np.bincount(rows, weights=np.abs(h.data), minlength=n) - np.abs(d)
+    lo, hi = float(np.min(d - r)), float(np.max(d + r))
+    a, b = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if b == 0.0:
+        return a, 0.0, None
+    x = h - sparse.csr_array((np.full(n, a), np.arange(n), np.arange(n + 1)),
+                             shape=h.shape)
+    x.data /= b
+    return a, b, x
+
+
+def _bessel_coefficients(x: float) -> np.ndarray:
+    """J_k(x) for k < K, x >= 0, K the least with 2 sum_{k >= K} |J_k(x)| <=
+    CHEBYSHEV_TOL; a RuntimeError if K > CHEBYSHEV_TERMS.
+
+    jv is evaluated on a window of n > x orders, widened until the tail
+    falls below the tolerance.  Past x the ratios J_{k+1}/J_k stay below
+    x/(k + 1), so a geometric series in x/n bounds the terms past the
+    window."""
+    extra = 64
+    while True:
+        n = min(int(x) + extra, CHEBYSHEV_TERMS + 1)
+        j = jv(np.arange(n), x)
+        r = x / n
+        rest = abs(j[-1]) * r / (1.0 - r) if r < 1.0 else math.inf
+        tail = 2.0 * (np.cumsum(np.abs(j[::-1]))[::-1] + rest)
+        (within,) = np.nonzero(tail <= CHEBYSHEV_TOL)
+        if within.size:  # the tail does not increase with k
+            return j[:within[0]]
+        if n > CHEBYSHEV_TERMS:
+            raise RuntimeError(
+                f"Chebyshev series of exp(-i tau H) at tau*b = {x:.4g} needs "
+                f"more than {CHEBYSHEV_TERMS} terms")
+        extra *= 2
+
+
+def _chebyshev_exp(enclosure: tuple, tau: float, vectors) -> np.ndarray:
+    """e^{-i tau H} applied to vectors (a state or a (dim, k) stack), for a
+    hermitian H given by its _enclosure (a, b, X): e^{-i tau a} sum_k c_k
+    T_k(X) vectors with c_0 = J_0(tau b), c_k = 2 (-i)^k J_k(tau b), summed
+    by the three-term recurrence (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
+    3967, 1984).  ||T_k(X)|| <= 1, so the discarded tail of the Bessel
+    coefficients bounds the truncation error.  At b = 0 (H a multiple of
+    the identity) or tau = 0 the series is its first term, J_0(0) = 1: the
+    result is e^{-i tau a} vectors exactly."""
+    a, b, x = enclosure
+    v = np.asarray(vectors, dtype=np.complex128)
+    # J_k(-y) = (-1)^k J_k(y): a negative tau flips the sign of -i
+    j = _bessel_coefficients(abs(tau) * b)
+    step = -1j if tau > 0 else 1j
+    out = j[0] * v
+    if j.size > 1:
+        prev, cur = v, x @ v
+        out += (2.0 * step * j[1]) * cur
+        coef = 2.0 * step
+        for jk in j[2:]:
+            prev, cur = cur, 2.0 * (x @ cur) - prev
+            coef *= step
+            out += (coef * jk) * cur
+    out *= np.exp(-1j * tau * a)
+    return out
+
+
 class Propagator:
-    """exp(-i t H / eps) applied by expm_multiply on the sparse generator
-    -iH/eps; no eigendecomposition and no dense matrix is made."""
+    """exp(-i t H / eps) as a Chebyshev series in X = (H - a)/b, where
+    [a - b, a + b] is a Gershgorin enclosure of H's spectrum: the enclosure
+    and X are made once here, and each apply pays only the series.  No
+    eigendecomposition and no dense matrix is made."""
 
     def __init__(self, h: OperatorMatrix, eps: float):
-        self.generator = (-1j / eps) * h.csr
+        self.eps = eps
+        self.enclosure = _enclosure(h.csr)
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
-        from scipy.sparse.linalg import expm_multiply
-
-        return expm_multiply(t * self.generator, state)
+        return _chebyshev_exp(self.enclosure, t / self.eps, state)
 
 
 # -- classical finite-mode flow --------------------------------------------------------
@@ -630,11 +715,14 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
     flow of the same finite-mode symbol, for a decreasing family of eps.
 
     model_factory(eps) must return models sharing the mode layout.  Returns
-    the error table err[eps][t], the final errors in decreasing eps, and
-    whether they fall with eps (BOHR_SLACK allowed; no rate claimed; False
-    with fewer than two distinct eps, where nothing can fall).  Also
-    returns edge_weight[eps], the largest probability over the sampled times
-    on basis states at an occupancy cap (N1 = n_max_particles or
+    the error table err[eps][t], the final errors in decreasing eps, and two
+    verdicts, both False with fewer than two distinct eps, where nothing can
+    fall: monotone, whether the final errors fall with eps (BOHR_SLACK
+    allowed; no rate claimed), and sqrt_rate, whether the final error at the
+    smallest eps is at most (eps_min/eps_max)**BOHR_RATE times the one at
+    the largest, which a flat error curve fails.  Also returns
+    edge_weight[eps], the largest probability over the sampled times on
+    basis states at an occupancy cap (N1 = n_max_particles or
     N2 = n_max_phonons), where the truncation acts.
     """
     times = np.linspace(0.0, t_final, n_times)
@@ -663,9 +751,11 @@ def correspondence_experiment(model_factory, eps_values, particle_amps,
     final = [table[eps][-1] for eps in eps_desc]
     monotone = len(final) >= 2 and all(
         b <= BOHR_SLACK * a for a, b in zip(final, final[1:]))
+    sqrt_rate = len(final) >= 2 and (
+        final[-1] <= (eps_desc[-1] / eps_desc[0]) ** BOHR_RATE * final[0])
     return {"times": times.tolist(), "errors": table, "eps": eps_desc,
             "final_errors": final, "monotone": monotone,
-            "edge_weight": edge_weight}
+            "sqrt_rate": sqrt_rate, "edge_weight": edge_weight}
 
 
 def klmn_check(model: FockModel, n_samples: int = 1000,

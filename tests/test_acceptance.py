@@ -178,10 +178,12 @@ def test_10_bohr_correspondence():
         lambda eps: fock_model(dk=0.5, eps=eps), [0.5, 0.25, 0.125],
         [0.25, 0.15, 0.0], [0.2, 0.1], 0.5, n_times=6)
     final = res["final_errors"]
-    report("10 Bohr correspondence", res["monotone"],
+    report("10 Bohr correspondence", res["monotone"] and res["sqrt_rate"],
            f"errors at t=0.5: {final[0]:.2e} > {final[1]:.2e} > "
-           f"{final[2]:.2e} (monotone in eps, slack x{fock.BOHR_SLACK:g}; "
-           "no rate asserted)", t0, budget=600.0)
+           f"{final[2]:.2e} (monotone in eps, slack x{fock.BOHR_SLACK:g}: "
+           f"{res['monotone']}; last/first {final[2] / final[0]:.2f} <= "
+           f"{res['eps'][2] / res['eps'][0]:g}^{fock.BOHR_RATE:g}: "
+           f"{res['sqrt_rate']})", t0, budget=600.0)
 
 
 def test_11_strichartz_interpolation(small):

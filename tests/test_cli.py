@@ -563,10 +563,11 @@ class TestFootprint:
         assert json.loads((out / "summary.json").read_text()) == {
             "csv_schema": 1,
             "info": {"eps": [0.5, 0.25, 0.125],
-                     "final_errors": [0.004683976743880257,
-                                      0.0023836969557870296,
-                                      0.0018830549027398125]},
+                     "final_errors": [0.004683976743880032,
+                                      0.0023836969557869537,
+                                      0.0018830549027400514]},
             "passed": True,
             "scenario": "fock_correspondence",
             "seed": 0,
-            "verdicts": {"monotone_in_eps": True}}
+            "verdicts": {"monotone_in_eps": True,
+                         "sqrt_rate_in_eps": True}}

@@ -1,22 +1,27 @@
-"""Fault matrix: each row injects a named fault into one shared helper of
-the dressed interaction and asserts that a gate sees it.
+"""Fault matrix: each row injects a named fault and asserts that a gate
+sees it.
 
-A row patches the helper where hamiltonians defines it and where dynamics
-imports it, so the dressed gradient and the dressed Strang substeps run the
-same faulty code.  The finite-difference gate of gradient_check must then
-fail (the fault breaks the gradient of h_dressed, which does not call the
-helper), and the dressed flow's hhat drift must grow at least tenfold over
-the clean drift on the same data.
+The rows of FAULTS inject a fault into one shared helper of the dressed
+interaction.  A row patches the helper where hamiltonians defines it and
+where dynamics imports it, so the dressed gradient and the dressed Strang
+substeps run the same faulty code.  The finite-difference gate of
+gradient_check must then fail (the fault breaks the gradient of h_dressed,
+which does not call the helper), and the dressed flow's hhat drift must
+grow at least tenfold over the clean drift on the same data.
 
 The FD gate compares the gradient with the energy, so a fault in code that
 the energy and the gradient share, such as a scaled pair_convolution,
 changes both consistently and cannot be seen by it.
+
+Acceptance 10's row runs the quantum flow backwards in time.  Its final
+errors then sit near 0.29 at every eps, a flat curve that the monotone
+verdict's slack lets through; the sqrt_rate verdict must fail.
 """
 
 import numpy as np
 import pytest
 
-from polaronlab import dynamics, hamiltonians
+from polaronlab import dynamics, fock, hamiltonians
 from polaronlab.dynamics import EvolutionConfig, conservation, dressed_evolve
 from polaronlab.hamiltonians import (
     gradient_check,
@@ -65,3 +70,17 @@ def test_fault_is_seen(monkeypatch, state, ff16, clean_drift, fault):
                                     np.random.default_rng(1234))
     assert verdicts["grad_hhat"] is False
     assert _hhat_drift(state, ff16) >= 10.0 * clean_drift
+
+
+def test_time_reversed_quantum_flow_fails_10(monkeypatch):
+    """Acceptance 10's data with e^{+itH/eps} in place of e^{-itH/eps}."""
+    apply = fock.Propagator.apply
+    monkeypatch.setattr(fock.Propagator, "apply",
+                        lambda self, state, t: apply(self, state, -t))
+    res = fock.correspondence_experiment(
+        lambda eps: fock.FockModel([0.0, 1.0, 2.0], [1.0, 2.0], dk=0.5,
+                                   eps=eps, n_max_particles=6,
+                                   n_max_phonons=6, sigma0=1.5),
+        [0.5, 0.25, 0.125], [0.25, 0.15, 0.0], [0.2, 0.1], 0.5, n_times=6)
+    assert min(res["final_errors"]) > 0.25
+    assert res["sqrt_rate"] is False

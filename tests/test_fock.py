@@ -265,8 +265,10 @@ class TestDressing:
 
 class TestCoherentStates:
     def test_zero_is_vacuum(self, toy):
+        # phi(0) = 0 has the one-point enclosure [0, 0], so the series is its
+        # first term, J_0(0) = 1
         psi = coherent_state(toy, [0, 0, 0], [0, 0])
-        assert np.max(np.abs(psi - vacuum(toy))) < 1e-14
+        assert np.array_equal(psi, vacuum(toy))
 
     def test_mode_expectations(self, toy):
         amps = np.array([0.2, 0.1j, 0.0, 0.15, -0.1 + 0.05j])
@@ -310,6 +312,20 @@ class TestCoherentStates:
         assert np.max(np.abs(lhs - phase * wfg)) < 1e-8
         assert np.max(np.abs(lhs - np.conj(phase) * wfg)) > 1e-8
 
+    def test_weyl_operator_on_a_stack_matches_dense_expm(self, toy):
+        """W(f) on a (dim, k) stack of vectors is exp(i phi(f)) of each
+        column, against a dense expm of phi(f) built here."""
+        rng = np.random.default_rng(4)
+        f = 0.6 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        af = sum(np.conj(fm) * low.toarray()
+                 for fm, low in zip(f, toy._lower))
+        w = scipy.linalg.expm(1j * (af + af.conj().T) / math.sqrt(2.0))
+        cols = (rng.standard_normal((toy.dim, 3))
+                + 1j * rng.standard_normal((toy.dim, 3)))
+        got = weyl_operator(toy, f, cols)
+        assert got.shape == cols.shape
+        assert np.max(np.abs(got - w @ cols)) < 1e-12
+
 
 def dense_propagation(op: OperatorMatrix, eps: float, state, t: float):
     """e^{-itH/eps} state from one dense eigendecomposition of H."""
@@ -325,9 +341,46 @@ class TestEvolution:
             h = dress_hamiltonian(toy, h, build_T(toy))
         prop = Propagator(h, toy.eps)
         psi = coherent_state(toy, [0.2, 0.1j, 0.0], [0.1, -0.1])
-        for t in (0.0, 0.1, 0.5, 1.3, 4.0):
+        for t in (0.0, 0.1, 0.5, 1.3, 4.0, -0.5, -4.0):
             assert np.max(np.abs(prop.apply(psi, t) - dense_propagation(
                 h, toy.eps, psi, t))) < 1e-12
+        assert np.array_equal(prop.apply(psi, 0.0), psi)
+
+    def test_series_refuses_past_its_term_budget(self, toy, monkeypatch):
+        """A series whose Bessel tail cannot fall below the tolerance within
+        the term budget raises instead of returning a truncated sum."""
+        prop = Propagator(build_hamiltonian(toy), toy.eps)
+        _, b, _ = prop.enclosure
+        psi = coherent_state(toy, [0.2, 0.1j, 0.0], [0.1, -0.1])
+        t = 1000.0 * toy.eps / b  # tau * b = 1000, about 1110 terms
+        for terms in (50, 1000):
+            monkeypatch.setattr(fock, "CHEBYSHEV_TERMS", terms)
+            with pytest.raises(RuntimeError, match=f"more than {terms}"):
+                prop.apply(psi, t)
+        monkeypatch.setattr(fock, "CHEBYSHEV_TERMS", 2000)
+        assert abs(np.linalg.norm(prop.apply(psi, t)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("tau_b", [0.5, 3.0, 10.0, 25.0])
+    def test_terms_grow_with_tau_b_only(self, toy, tau_b):
+        """The series stops after at most tau*b + log(1/CHEBYSHEV_TOL)
+        terms, counted as sparse products (the first term needs none), not
+        at the term budget."""
+        prop = Propagator(build_hamiltonian(toy), toy.eps)
+        a, b, x = prop.enclosure
+        products = []
+
+        class Counting:
+            def __matmul__(self, v):
+                products.append(1)
+                return x @ v
+
+        prop.enclosure = (a, b, Counting())
+        t = tau_b * toy.eps / b
+        psi = coherent_state(toy, [0.2, 0.1j, 0.0], [0.1, -0.1])
+        got = prop.apply(psi, t)
+        assert 0 < len(products) + 1 <= tau_b - math.log(fock.CHEBYSHEV_TOL)
+        ref = dense_propagation(build_hamiltonian(toy), toy.eps, psi, t)
+        assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_stepping_matches_one_shot(self, toy):
         """Stepping through the sampled times, as correspondence_experiment
@@ -448,7 +501,7 @@ class TestCorrespondence:
         assert res["eps"] == [0.5, 0.25]
         assert res["final_errors"] == [res["errors"][e][-1]
                                        for e in (0.5, 0.25)]
-        assert res["monotone"]
+        assert res["monotone"] and res["sqrt_rate"]
 
     def test_propagates_only_between_sampled_times(self, monkeypatch):
         """The state starts as the coherent state at times[0] = 0 and is
@@ -476,7 +529,7 @@ class TestCorrespondence:
                                         eps_values, [0.2, 0.1, 0.0],
                                         [0.15, 0.1], 0.5, n_times=3)
         assert len(res["final_errors"]) == len(set(eps_values))
-        assert res["monotone"] is False
+        assert res["monotone"] is False and res["sqrt_rate"] is False
 
     def test_edge_weight_small_on_acceptance_data(self):
         # the data of acceptance 10
@@ -577,8 +630,8 @@ def test_no_dense_operator_is_built(stage):
 
 def test_propagation_scales_to_dim_28392():
     """Six sampled times at eps = 1/32, n_max 11 (acceptance 10's mode
-    layout and data): the Krylov propagation's traced peak stays under
-    64 MB (measured 19.5 MB; a block eigendecomposition of H peaked at
+    layout and data): the Chebyshev propagation's traced peak stays under
+    64 MB (measured 8.4 MB; a block eigendecomposition of H peaked at
     409 MB here)."""
     model = FockModel([0.0, 1.0, 2.0], [1.0, 2.0], dk=0.5, eps=1 / 32,
                       n_max_particles=11, n_max_phonons=11, sigma0=1.5,
