@@ -10,8 +10,16 @@ which is compared term by term against the dressed expansion (infrared
 coupling, pair potential, quadratic field term, drift term, and the
 number-weighted constant).
 
-Operators are scipy.sparse arrays built from the sparse ladder operators,
-and an OperatorMatrix keeps them sparse (a dense copy is built only on
+Operators are scipy.sparse arrays built from per-mode ladder tables: for
+a_m and a_m* the model keeps the image (index and value) of every basis
+state, with a null state for the images that lowering an empty mode or
+raising past the occupancy cap drop.  A monomial of ladder operators is
+applied to the whole basis at once by indexing through its factors, right
+to left, so truncation acts at each factor as in a product of the
+truncated matrices; monomials with the same number of factors run as one
+stack, and each operator is one sparse construction over the (row,
+column, value) triples of all its terms.  No operator is kept on the
+model.  An OperatorMatrix keeps them sparse (a dense copy is built only on
 demand).  Every exponential applied to a state (the propagator e^{-itH/eps}
 and the Weyl operators, coherent states among them) is one Chebyshev
 series in a sparse hermitian generator, mapped into [-1, 1] by a Gershgorin
@@ -170,23 +178,30 @@ def _sector_tuples(n_modes: int, n_max: int) -> list:
             for rest in _sector_tuples(n_modes - 1, n_max - n)]
 
 
-def _lowering_operators(occupancy: np.ndarray, eps: float) -> list:
-    """Sparse a_m|n> = sqrt(eps n_m)|n - e_m> for every mode m.
+def _ladder_tables(occupancy: np.ndarray, eps: float) -> tuple:
+    """(index, value), two (2M, dim + 1) tables of the M modes' ladder
+    operators: row m is a_m and row M + m is a_m*, which send basis state s
+    to value[., s] times state index[., s].  Column dim is a null state,
+    the target of lowering an empty mode and of raising past the occupancy
+    cap; it maps to itself with value 0.
 
-    The basis is sorted lexicographically, so the mixed-radix keys of its
-    occupation tuples increase and searchsorted finds each target state
-    (lowering never leaves the basis)."""
+    a_m|n> = sqrt(eps n_m)|n - e_m>.  The basis is sorted lexicographically,
+    so the mixed-radix keys of its occupation tuples increase and
+    searchsorted finds each target state (lowering never leaves the basis);
+    raising is its transpose."""
     dim, n_modes = occupancy.shape
     radix = int(occupancy.max(initial=0)) + 1
     weights = radix ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
     keys = occupancy @ weights
-    out = []
+    index = np.full((2 * n_modes, dim + 1), dim, dtype=np.intp)
+    value = np.zeros((2 * n_modes, dim + 1))
     for m in range(n_modes):
         cols = np.flatnonzero(occupancy[:, m])
         rows = np.searchsorted(keys, keys[cols] - weights[m])
-        vals = np.sqrt(eps * occupancy[cols, m]).astype(np.complex128)
-        out.append(sparse.csr_array((vals, (rows, cols)), shape=(dim, dim)))
-    return out
+        vals = np.sqrt(eps * occupancy[cols, m])
+        index[m, cols], value[m, cols] = rows, vals
+        index[n_modes + m, rows], value[n_modes + m, rows] = cols, vals
+    return index, value
 
 
 def _momentum_table(momenta) -> np.ndarray:
@@ -196,7 +211,7 @@ def _momentum_table(momenta) -> np.ndarray:
 
 
 class FockModel:
-    """Workspace: basis index, ladder matrices, mode tables.
+    """Workspace: basis index, ladder tables and matrices, mode tables.
 
     Parameters
     ----------
@@ -247,8 +262,11 @@ class FockModel:
         self.index = {occ: i for i, occ in enumerate(self.basis)}
         self.occupancy = np.asarray(self.basis, dtype=np.int64)
 
-        self._lower = _lowering_operators(self.occupancy, self.eps)
-        self._raise = [low.conj().T.tocsr() for low in self._lower]
+        self.n_modes = self.n_particle_modes + self.n_phonon_modes
+        self._ladder_index, self._ladder_value = _ladder_tables(
+            self.occupancy, self.eps)
+        self._lower = [_ladder_sum(self, [(np.ones(1), np.array([[m]]))])
+                       for m in range(self.n_modes)]
 
         # one-particle matrices on the particle mode space
         self.kinetic_1p = np.diag(
@@ -281,9 +299,6 @@ class FockModel:
     def a(self, j: int) -> sparse.csr_array:
         return self._lower[self.n_particle_modes + j]
 
-    def adag(self, j: int) -> sparse.csr_array:
-        return self._raise[self.n_particle_modes + j]
-
     def sector_totals(self) -> tuple:
         """Total particle and phonon occupancy of every basis state."""
         mp = self.n_particle_modes
@@ -306,37 +321,101 @@ class FockModel:
         """Second quantization sum_ij M_ij psi_i* psi_j of a one-particle
         matrix (restriction to n particles equals eps * sum_j M at particle j).
         Exact on the truncated basis: a hop keeps the particle number."""
-        out = sparse.csr_array((self.dim, self.dim), dtype=np.complex128)
-        for i, j in zip(*np.nonzero(m_1p)):
-            out = out + m_1p[i, j] * (self._raise[i] @ self._lower[j])
-        return out
+        return _ladder_sum(self, [_gamma_terms(self, m_1p)])
 
     def low_occupancy_indices(self, n_cut: int) -> np.ndarray:
         return np.where(self.occupancy.sum(axis=1) <= n_cut)[0]
 
 
-# -- Hamiltonians ----------------------------------------------------------------
+# -- operators from the ladder tables --------------------------------------------
+#
+# A monomial c X_1 ... X_k of ladder operators is its coefficient c and its
+# factor codes, left to right: code m is a_m and code M + m is a_m*, for the
+# M modes numbered particles first.  A list of terms holds (coefficients,
+# codes) pairs, the codes an (n, k) array of n monomials of k factors.
 
 
-def _field_operator(model: FockModel, coupling,
-                    one_particle) -> sparse.csr_array:
-    """sum_j sqrt(dk) (c_j a_j* Gamma(M_j) + h.c.) over the modes with
-    c_j != 0, for the coupling table c and the one-particle matrices M."""
-    out = sparse.csr_array((model.dim, model.dim), dtype=np.complex128)
+def _gamma_terms(model: FockModel, m_1p: np.ndarray, prefix=()) -> tuple:
+    """X psi_i* psi_j with coefficient M_ij over the nonzero entries of the
+    one-particle matrix M, X the ladder monomial with codes prefix."""
+    i, j = np.nonzero(m_1p)
+    codes = np.empty((i.size, len(prefix) + 2), dtype=np.intp)
+    codes[:, :len(prefix)] = prefix
+    codes[:, -2] = model.n_modes + i
+    codes[:, -1] = j
+    return m_1p[i, j], codes
+
+
+def _field_terms(model: FockModel, coupling, one_particle) -> list:
+    """sqrt(dk) c_j a_j* Gamma(M_j) over the modes with c_j != 0, for the
+    coupling table c and the one-particle matrices M."""
+    terms = []
     for j in np.flatnonzero(coupling):
-        block = math.sqrt(model.dk) * coupling[j] * (
-            model.adag(j) @ model.gamma(one_particle[j]))
-        out = out + (block + block.conj().T)
+        coefs, codes = _gamma_terms(
+            model, one_particle[j],
+            (model.n_modes + model.n_particle_modes + j,))
+        terms.append((math.sqrt(model.dk) * coupling[j] * coefs, codes))
+    return terms
+
+
+def _apply_monomials(model: FockModel, codes: np.ndarray) -> tuple:
+    """(rows, values), both (dim, n): the n monomials of codes send basis
+    state s to values[s, .] times state rows[s, .].  Every state runs
+    through the factors right to left in the ladder tables, so truncation
+    acts at each factor, as in a product of the truncated matrices; a
+    truncated image has row dim (the null state) and value 0."""
+    index, value = model._ladder_index.ravel(), model._ladder_value.ravel()
+    rows = np.arange(model.dim)[:, None]
+    values = 1.0
+    for start in codes.T[::-1, None, :] * (model.dim + 1):
+        at = start + rows
+        values = values * value.take(at)
+        rows = index.take(at)
+    return rows, values
+
+
+def _ladder_sum(model: FockModel, terms, hermitian=()) -> sparse.csr_array:
+    """sum_t c_t X_t over the monomials of the terms, plus each monomial of
+    hermitian and its adjoint.  Monomials with the same number of factors
+    run as one stack, and the operator is one sparse construction over the
+    concatenated (row, column, value) triples, which sums their duplicates;
+    an adjoint half is its monomial's triples swapped and conjugated."""
+    stacks = {}
+    for adjoint, pairs in ((False, terms), (True, hermitian)):
+        for coefs, codes in pairs:
+            stacks.setdefault((adjoint, codes.shape[1]), []).append(
+                (coefs, codes))
+    dim = model.dim
+    triples = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]
+    for (adjoint, _), pairs in stacks.items():
+        coefs = np.concatenate([c for c, _ in pairs])
+        rows, values = _apply_monomials(
+            model, np.concatenate([k for _, k in pairs]))
+        (keep,) = np.nonzero(rows.ravel() < dim)
+        t = (rows.take(keep), keep // coefs.size,
+             (values * coefs).take(keep))
+        triples.append(t)
+        if adjoint:
+            triples.append((t[1], t[0], t[2].conj()))
+    rows, cols, data = (np.concatenate(x) for x in zip(*triples))
+    out = sparse.csr_array((data, (rows, cols)), shape=(dim, dim),
+                           dtype=np.complex128)
+    out.eliminate_zeros()
     return out
+
+
+# -- Hamiltonians ----------------------------------------------------------------
 
 
 def _coupled_hamiltonian(model: FockModel, coupling) -> sparse.csr_array:
     """Kinetic + phonon number + sum_j sqrt(dk) c_j (a_j* Gamma(E_j) + h.c.)
     for the coupling table c (one entry per phonon mode)."""
-    h = model.gamma(model.kinetic_1p)
-    h = h + sum(model.adag(j) @ model.a(j)
-                for j in range(model.n_phonon_modes))
-    return h + _field_operator(model, coupling, model.E)
+    phonons = model.n_particle_modes + np.arange(model.n_phonon_modes)
+    number = np.column_stack([model.n_modes + phonons, phonons])
+    return _ladder_sum(
+        model, [_gamma_terms(model, model.kinetic_1p),
+                (np.ones(model.n_phonon_modes), number)],
+        _field_terms(model, coupling, model.E))
 
 
 def build_hamiltonian(model: FockModel) -> OperatorMatrix:
@@ -351,7 +430,8 @@ def build_free_hamiltonian(model: FockModel) -> OperatorMatrix:
 
 def build_T(model: FockModel) -> OperatorMatrix:
     """Gross-transform generator sum_k sqrt(dk) B_k (i a_k* Gamma(E_k) + h.c.)."""
-    return OperatorMatrix(_field_operator(model, 1j * model.B, model.E))
+    return OperatorMatrix(_ladder_sum(
+        model, (), _field_terms(model, 1j * model.B, model.E)))
 
 
 def _blocks(*matrices) -> list:
@@ -451,36 +531,50 @@ def assemble_dressed(model: FockModel) -> dict:
     model; this is the convention under which the conjugation identity holds
     up to truncation-edge effects.
     """
-    zero = sparse.csr_array((model.dim, model.dim), dtype=np.complex128)
-
     infrared = _coupled_hamiltonian(model, model.f_ir)
 
-    pair = constant = zero
+    # the pair term in normal order, sum conj(E_pq) E_rs psi_q* psi_r* psi_p
+    # psi_s, which is Gamma(E)* Gamma(E) - eps Gamma(E* E) on the truncated
+    # basis too (each factor of Gamma(E)* Gamma(E) that raises acts after
+    # one that lowered, below the cap); it is zero on one-particle states
+    pair, constant = [], []
     for j in np.flatnonzero(model.pair_symbol):
-        s = model.pair_symbol[j]
-        ge = model.gamma(model.E[j])
-        gee = model.gamma(model.E[j].conj().T @ model.E[j])
-        pair = pair + model.dk * s * (ge.conj().T @ ge - model.eps * gee)
-        constant = constant + model.dk * s * model.eps * gee
+        w = model.dk * model.pair_symbol[j]
+        coefs, codes = _gamma_terms(model, model.E[j])
+        up_p, low_q = codes.T
+        n = coefs.size
+        pair.append((w * np.outer(coefs.conj(), coefs).ravel(),
+                     np.column_stack([np.repeat(low_q + model.n_modes, n),
+                                      np.tile(up_p, n),
+                                      np.repeat(up_p - model.n_modes, n),
+                                      np.tile(low_q, n)])))
+        coefs, codes = _gamma_terms(model, model.E[j].conj().T @ model.E[j])
+        constant.append((w * model.eps * coefs, codes))
 
-    quadratic = zero
+    creation, mixed = [], []
     for j in range(model.n_phonon_modes):
         for l in range(model.n_phonon_modes):
             kdot = float(model.k[j] @ model.k[l])
             w = model.dk * kdot * model.B[j] * model.B[l]
             if w == 0.0:
                 continue
-            e_jl = model.E[j] @ model.E[l]
-            e_jl_mix = model.E[j] @ model.E[l].conj().T
-            creation = model.adag(j) @ model.adag(l) @ model.gamma(e_jl)
-            quadratic = quadratic + w * (creation + creation.conj().T)
-            quadratic = quadratic + 2.0 * w * (
-                model.adag(j) @ model.a(l) @ model.gamma(e_jl_mix))
+            up_j = model.n_modes + model.n_particle_modes + j
+            low_l = model.n_particle_modes + l
+            coefs, codes = _gamma_terms(model, model.E[j] @ model.E[l],
+                                        (up_j, model.n_modes + low_l))
+            creation.append((w * coefs, codes))
+            coefs, codes = _gamma_terms(
+                model, model.E[j] @ model.E[l].conj().T, (up_j, low_l))
+            mixed.append((2.0 * w * coefs, codes))
 
-    drift = _field_operator(model, -2.0 * model.B, [
+    drift = _field_terms(model, -2.0 * model.B, [
         e @ sum(kx * d for kx, d in zip(k, model.D_1p))
         for e, k in zip(model.E, model.k)])
 
+    pair = _ladder_sum(model, pair)
+    constant = _ladder_sum(model, constant)
+    quadratic = _ladder_sum(model, mixed, creation)
+    drift = _ladder_sum(model, (), drift)
     total = infrared + pair + quadratic + drift + constant
     return {"infrared": infrared, "pair": pair, "quadratic": quadratic,
             "drift": drift, "constant": constant, "total": total}
@@ -559,9 +653,10 @@ def weyl_operator(model: FockModel, mode_amps, vectors) -> np.ndarray:
     amplitudes on all modes (particles first): the Chebyshev series of
     e^{-i tau H} at H = -phi(f), tau = 1, on the sparse phi(f); no dim x dim
     array is built."""
-    f = np.asarray(mode_amps, dtype=np.complex128)
-    af = sum(np.conj(fm) * model._lower[m] for m, fm in enumerate(f))
-    minus_phi_f = (af + af.conj().T) / -math.sqrt(2.0)
+    minus_phi_f = _ladder_sum(model, (), [(
+        np.conj(np.asarray(mode_amps, dtype=np.complex128)),
+        np.arange(model.n_modes)[:, None])])
+    minus_phi_f.data *= -1.0 / math.sqrt(2.0)
     return _chebyshev_exp(_enclosure(minus_phi_f), 1.0, vectors)
 
 
@@ -664,19 +759,27 @@ class Propagator:
 # -- classical finite-mode flow --------------------------------------------------------
 
 
-def classical_rhs(model: FockModel, phi: np.ndarray,
+def _rhs_stack(model: FockModel) -> np.ndarray:
+    """The matrices of the classical right-hand side stacked as one
+    ((1 + 2 M_f) M_p, M_p) array: the kinetic diagonal, then the M_f
+    couplings sqrt(dk) f_j E_j, then their adjoints."""
+    mp = model.n_particle_modes
+    e = np.reshape(model.E, (model.n_phonon_modes, mp, mp))
+    c = math.sqrt(model.dk) * model.f[:, None, None] * e
+    return np.concatenate([model.kinetic_1p[None], c,
+                           c.conj().swapaxes(1, 2)]).reshape(-1, mp)
+
+
+def classical_rhs(stack: np.ndarray, phi: np.ndarray,
                   alp: np.ndarray) -> tuple:
     """-i grad_zbar of the finite-mode symbol of the direct Hamiltonian
-    (each ladder replaced by its mode amplitude in the normal-ordered form)."""
-    dphi = (np.sum(model.p**2, axis=1)) * phi
-    dalp = alp.copy()
-    for j in range(model.n_phonon_modes):
-        if model.f[j] == 0.0:
-            continue
-        c = math.sqrt(model.dk) * model.f[j]
-        e = model.E[j]
-        dphi += c * (np.conj(alp[j]) * (e @ phi) + alp[j] * (e.conj().T @ phi))
-        dalp[j] += c * np.vdot(phi, e @ phi)
+    (each ladder replaced by its mode amplitude in the normal-ordered form),
+    with the matrices of _rhs_stack: one matrix product gives K phi and
+    every c_j E_j phi and (c_j E_j)* phi."""
+    w = (stack @ phi).reshape(-1, phi.size)
+    mf = alp.size
+    dphi = w[0] + np.conj(alp) @ w[1:mf + 1] + alp @ w[mf + 1:]
+    dalp = alp + w[1:mf + 1] @ np.conj(phi)
     return -1j * dphi, -1j * dalp
 
 
@@ -686,11 +789,12 @@ def classical_flow(model: FockModel, phi0, alp0, times) -> np.ndarray:
     from scipy.integrate import solve_ivp
 
     mp = model.n_particle_modes
-    mf = model.n_phonon_modes
+    n = model.n_modes
+    stack = _rhs_stack(model)
 
     def rhs(_t, y):
-        zc = y[: mp + mf] + 1j * y[mp + mf:]
-        dphi, dalp = classical_rhs(model, zc[:mp], zc[mp:])
+        zc = y[:n] + 1j * y[n:]
+        dphi, dalp = classical_rhs(stack, zc[:mp], zc[mp:])
         dz = np.concatenate([dphi, dalp])
         return np.concatenate([dz.real, dz.imag])
 
@@ -701,7 +805,7 @@ def classical_flow(model: FockModel, phi0, alp0, times) -> np.ndarray:
                     rtol=CLASSICAL_FLOW_TOL, atol=CLASSICAL_FLOW_TOL)
     if not sol.success:
         raise RuntimeError(f"classical reference flow failed: {sol.message}")
-    out = sol.y[: mp + mf, :] + 1j * sol.y[mp + mf:, :]
+    out = sol.y[:n, :] + 1j * sol.y[n:, :]
     return out.T
 
 

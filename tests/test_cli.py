@@ -563,9 +563,9 @@ class TestFootprint:
         assert json.loads((out / "summary.json").read_text()) == {
             "csv_schema": 1,
             "info": {"eps": [0.5, 0.25, 0.125],
-                     "final_errors": [0.004683976743880032,
-                                      0.0023836969557869537,
-                                      0.0018830549027400514]},
+                     "final_errors": [0.004683976743880012,
+                                      0.0023836969557869334,
+                                      0.0018830549027400393]},
             "passed": True,
             "scenario": "fock_correspondence",
             "seed": 0,

@@ -13,6 +13,13 @@ The FD gate compares the gradient with the energy, so a fault in code that
 the energy and the gradient share, such as a scaled pair_convolution,
 changes both consistently and cannot be seen by it.
 
+Acceptance 08's row builds every Gamma(M) of the ladder assembly from the
+transpose of M (psi_j* psi_i for M_ij), in H, T and the dressed parts alike.
+The expansion's drift term then no longer matches the conjugation: the
+restricted difference reads 8.0e-04 against 3.4e-07 clean.  A fault in an
+O(dk) term, or one that drops a conjugate of the real drift, cannot be seen
+at dk = 1e-6.
+
 Acceptance 10's row runs the quantum flow backwards in time.  Its final
 errors then sit near 0.29 at every eps, a flat curve that the monotone
 verdict's slack lets through; the sqrt_rate verdict must fail.
@@ -70,6 +77,19 @@ def test_fault_is_seen(monkeypatch, state, ff16, clean_drift, fault):
                                     np.random.default_rng(1234))
     assert verdicts["grad_hhat"] is False
     assert _hhat_drift(state, ff16) >= 10.0 * clean_drift
+
+
+def test_transposed_gamma_fails_08(monkeypatch):
+    """Acceptance 08's data with Gamma(M^T) in place of Gamma(M)."""
+    gamma_terms = fock._gamma_terms
+    monkeypatch.setattr(fock, "_gamma_terms",
+                        lambda model, m, prefix=(): gamma_terms(model, m.T,
+                                                                prefix))
+    rep = fock.dressed_comparison(fock.FockModel(
+        [0.0, 1.0, 2.0], [1.0, 2.0], dk=1e-6, eps=0.5, n_max_particles=6,
+        n_max_phonons=6, sigma0=1.5))
+    assert rep["restricted_diff_norm"] >= 10.0 * fock.EXPANSION_TOL
+    assert rep["expansion_holds"] is False
 
 
 def test_time_reversed_quantum_flow_fails_10(monkeypatch):

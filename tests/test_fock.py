@@ -26,6 +26,7 @@ from polaronlab.fock import (
     build_free_hamiltonian,
     build_hamiltonian,
     classical_flow,
+    classical_rhs,
     coherent_state,
     correspondence_experiment,
     dress_hamiltonian,
@@ -62,6 +63,146 @@ def sectors(model: FockModel):
 def toy():
     """The chain with small cutoffs."""
     return chain()
+
+
+def plane(n_max=2) -> FockModel:
+    """5 particle and 4 phonon momenta in the plane; some shifts E_j leave
+    the particle modes ((0, 0) - (1, 0) is not one of them), and sigma0
+    splits the phonons between the infrared coupling and B."""
+    return FockModel(particle_momenta=[[0, 0], [1, 0], [0, 1], [1, 1],
+                                       [-1, 0]],
+                     phonon_momenta=[[1, 0], [0, 1], [1, 1], [2, 0]],
+                     dk=0.3, eps=0.37, n_max_particles=n_max,
+                     n_max_phonons=n_max, sigma0=1.2)
+
+
+def dense_operators(model: FockModel) -> dict:
+    """Every Fock operator of the layer as a sum of dense products of
+    psi(m).toarray() and its adjoint, term by term as its formula reads."""
+    low = [model.psi(m).toarray() for m in range(model.n_modes)]
+    up = [x.conj().T for x in low]
+    mp, mf = model.n_particle_modes, model.n_phonon_modes
+    a, ad = low[mp:], up[mp:]
+    zero = np.zeros((model.dim, model.dim), dtype=complex)
+
+    def gamma(m):
+        return sum((m[i, j] * up[i] @ low[j] for i, j in zip(*np.nonzero(m))),
+                   zero)
+
+    def hc(x):
+        return x + x.conj().T
+
+    def field(c, one_particle):
+        return sum((hc(math.sqrt(model.dk) * c[j] * ad[j]
+                       @ gamma(one_particle[j])) for j in range(mf)), zero)
+
+    def coupled(c):
+        return (gamma(model.kinetic_1p) + sum(ad[j] @ a[j] for j in range(mf))
+                + field(c, model.E))
+
+    ops = {"H": coupled(model.f), "H0": coupled(np.zeros(mf)),
+           "T": field(1j * model.B, model.E), "infrared": coupled(model.f_ir),
+           "pair": zero, "constant": zero, "quadratic": zero}
+    for j in range(mf):
+        w, e = model.dk * model.pair_symbol[j], model.E[j]
+        for p, q in zip(*np.nonzero(e)):
+            for r, s in zip(*np.nonzero(e)):
+                ops["pair"] = ops["pair"] + w * np.conj(e[p, q]) * e[r, s] * (
+                    up[q] @ up[r] @ low[p] @ low[s])
+        ops["constant"] = ops["constant"] + w * model.eps * gamma(
+            e.conj().T @ e)
+        for l in range(mf):
+            w = model.dk * float(model.k[j] @ model.k[l]) * (
+                model.B[j] * model.B[l])
+            ops["quadratic"] = ops["quadratic"] + hc(
+                w * ad[j] @ ad[l] @ gamma(e @ model.E[l])) + 2.0 * w * (
+                ad[j] @ a[l] @ gamma(e @ model.E[l].conj().T))
+    ops["drift"] = field(-2.0 * model.B, [
+        e @ sum(kx * d for kx, d in zip(k, model.D_1p))
+        for e, k in zip(model.E, model.k)])
+    ops["total"] = (ops["infrared"] + ops["pair"] + ops["quadratic"]
+                    + ops["drift"] + ops["constant"])
+    return ops
+
+
+@pytest.mark.parametrize("layout", [chain, plane], ids=["toy", "plane"])
+def test_operators_match_ladder_products(layout, monkeypatch):
+    """H, H0, T, each dressed part and their total, phi(f) and Gamma(M)
+    from the ladder tables equal the dense products of the ladder matrices
+    entry by entry (1e-14), with the same nonzero pattern.  The pair term
+    is assembled in normal order; it is Gamma(E)* Gamma(E) - eps
+    Gamma(E* E) on the truncated basis too."""
+    model = layout()
+    oracle = dense_operators(model)
+    got = {"H": build_hamiltonian(model).csr,
+           "H0": build_free_hamiltonian(model).csr, "T": build_T(model).csr,
+           **assemble_dressed(model)}
+    rng = np.random.default_rng(7)
+    mp = model.n_particle_modes
+    m = rng.standard_normal((mp, mp)) + 1j * rng.standard_normal((mp, mp))
+    low = [model.psi(i).toarray() for i in range(model.n_modes)]
+    oracle["gamma"] = sum(m[i, j] * low[i].conj().T @ low[j]
+                          for i in range(mp) for j in range(mp))
+    got["gamma"] = model.gamma(m)
+    f = rng.standard_normal(model.n_modes) + 1j * rng.standard_normal(
+        model.n_modes)
+    af = sum(np.conj(fm) * x for fm, x in zip(f, low))
+    oracle["phi"] = (af + af.conj().T) / math.sqrt(2.0)
+    generators = []
+    enclosure = fock._enclosure
+    monkeypatch.setattr(fock, "_enclosure",
+                        lambda h: generators.append(h) or enclosure(h))
+    weyl_operator(model, f, vacuum(model))
+    got["phi"] = -generators[0]
+    assert set(got) == set(oracle)
+    for name, op in got.items():
+        assert np.max(np.abs(op.toarray() - oracle[name])) <= 1e-14, name
+        assert op.nnz == np.count_nonzero(oracle[name]), name
+    gammas = [oracle["gamma"]]
+    for j, s in enumerate(model.pair_symbol):
+        e = model.E[j]
+        ge = sum(e[p, q] * low[p].conj().T @ low[q]
+                 for p, q in zip(*np.nonzero(e)))
+        gee = sum(x * low[p].conj().T @ low[p]
+                  for p, x in enumerate(np.diag(e.conj().T @ e)))
+        gammas.append(model.dk * s * (ge.conj().T @ ge - model.eps * gee))
+    assert np.max(np.abs(sum(gammas[1:]) - oracle["pair"])) <= 1e-14
+
+
+class CountingSparse:
+    """scipy.sparse as fock's namespace sees it, counting the sparse arrays
+    and matrices it constructs."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __getattr__(self, name):
+        attr = getattr(sparse, name)
+        if not name.endswith(("_array", "_matrix")):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.count += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def test_sparse_constructions_do_not_grow_with_the_modes(monkeypatch):
+    """H, T, the dressed parts and a Weyl operator each make a fixed number
+    of sparse constructions, the same with 3 + 2 modes as with 5 + 4: one
+    per operator, not one per term or per mode."""
+    counts = []
+    for model in (chain(n_max=2), plane()):
+        f = np.full(model.n_particle_modes + model.n_phonon_modes, 0.1 + 0.05j)
+        counter = CountingSparse()
+        monkeypatch.setattr(fock, "sparse", counter)
+        build_hamiltonian(model)
+        build_T(model)
+        assemble_dressed(model)
+        weyl_operator(model, f, vacuum(model))
+        monkeypatch.undo()
+        counts.append(counter.count)
+    assert counts[0] == counts[1]
 
 
 class TestModel:
@@ -493,6 +634,27 @@ class TestCorrespondence:
         e0 = energy(traj[0])
         assert all(abs(energy(traj[i]) - e0) < 1e-9 * (1 + abs(e0))
                    for i in range(len(times)))
+
+    @pytest.mark.parametrize("layout", [chain, plane], ids=["toy", "plane"])
+    def test_classical_rhs_matches_a_loop_over_modes(self, layout):
+        """The stacked right-hand side against the per-mode loop it
+        replaces, at random complex amplitudes (1e-15)."""
+        model = layout()
+        rng = np.random.default_rng(5)
+        mp, mf = model.n_particle_modes, model.n_phonon_modes
+        phi = rng.standard_normal(mp) + 1j * rng.standard_normal(mp)
+        alp = rng.standard_normal(mf) + 1j * rng.standard_normal(mf)
+        dphi = np.sum(model.p**2, axis=1) * phi
+        dalp = alp.copy()
+        for j in range(mf):
+            c = math.sqrt(model.dk) * model.f[j]
+            e = model.E[j]
+            dphi += c * (np.conj(alp[j]) * (e @ phi)
+                         + alp[j] * (e.conj().T @ phi))
+            dalp[j] += c * np.vdot(phi, e @ phi)
+        got = classical_rhs(fock._rhs_stack(model), phi, alp)
+        assert np.max(np.abs(got[0] + 1j * dphi)) <= 1e-15
+        assert np.max(np.abs(got[1] + 1j * dalp)) <= 1e-15
 
     def test_error_decreases_with_eps(self):
         res = correspondence_experiment(lambda eps: chain(eps, n_max=5),
