@@ -20,39 +20,33 @@ truncated matrices; monomials with the same number of factors run as one
 stack, and each operator is one sparse construction over the (row,
 column, value) triples of all its terms.  No operator is kept on the
 model.  An OperatorMatrix keeps them sparse (a dense copy is built only on
-demand).  Every exponential applied to a state (the propagator e^{-itH/eps}
-and the Weyl operators, coherent states among them) is one Chebyshev
-series in a sparse hermitian generator, mapped into [-1, 1] by a Gershgorin
-enclosure of its spectrum; a Propagator makes the enclosure once for its
-operator, and each apply pays only sparse products.  Only the Gross
-conjugation needs a full unitary: H and T conserve particle number and
-total momentum, so it works on the connected blocks of their nonzero
-pattern, read from the sparse matrices themselves.  Blocks of equal size
-are gathered into one stack and decomposed by one batched eigh.  They are
-small (at most 72 rows at dim 2352), too small for a second BLAS thread to
-pay, so the conjugation's block kernels and the spectral norms of
-dressed_comparison hold every OpenBLAS loaded in the process to one thread
-and restore the previous count afterwards.  That setting is process-global
-while it is held: the layer is not meant to run from two Python threads at
-once.  Model sizes are capped before the basis is enumerated, so
-correctness, not scale, is the product.  Operator identities are asserted
-away from the occupancy-truncation edge (sub-basis with total occupancy
-<= n_max/2).
+demand).  Every exponential of the layer is one Chebyshev series in a
+sparse hermitian generator, mapped into [-1, 1] by a Gershgorin enclosure
+of its spectrum: the propagator e^{-itH/eps} and the Weyl operators
+(coherent states among them) apply it to states, and a Propagator makes
+the enclosure once for its operator, so each apply pays only sparse
+products.  The Gross conjugation applies the series of exp(iT/eps) to the
+sparse identity, which yields the whole unitary U as a csr array, and
+returns U H U* from two sparse products.  U keeps the nonzero pattern of
+the powers of T, which conserve particle number and total momentum, so
+nothing is stored across those sectors.  The layer calls no
+eigendecomposition.  Model sizes are capped before the basis is
+enumerated, so correctness, not scale, is the product.  Operator
+identities are asserted away from the occupancy-truncation edge
+(sub-basis with total occupancy <= n_max/2).
 
-The SciPy modules that only this layer needs (solve_ivp,
-connected_components) are imported at their call sites, and the Bessel
-functions of the Chebyshev coefficients come from scipy.special, which
-scipy.fft loads for the lattice layer.  So importing the module loads
-scipy.sparse and nothing more of SciPy: a process that never builds a Fock
-operator does not pay for scipy.integrate, scipy.optimize, scipy.linalg,
-scipy.sparse.linalg or scipy.sparse.csgraph.
+The one SciPy module that only this layer needs (solve_ivp) is imported at
+its call site, and the Bessel functions of the Chebyshev coefficients come
+from scipy.special, which scipy.fft loads for the lattice layer.  So
+importing the module loads scipy.sparse and nothing more of SciPy: a
+process that never builds a Fock operator does not pay for
+scipy.integrate, scipy.optimize, scipy.linalg, scipy.sparse.linalg or
+scipy.sparse.csgraph, and the conjugation and the form-bound samples load
+none of them either.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 
@@ -80,59 +74,6 @@ CLASSICAL_FLOW_TOL = 1e-12
 # the spectral enclosure of H it takes about tau*b + 11 (tau*b)^(1/3) terms
 CHEBYSHEV_TOL = 2.0**-53
 CHEBYSHEV_TERMS = 10_000
-
-
-# OpenBLAS thread-count entry points, by build: scipy-openblas64, scipy-openblas
-# and the plain library with and without the 64-bit integer suffix
-_OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
-                            "scipy_openblas_{}_num_threads",
-                            "openblas_{}_num_threads64_",
-                            "openblas_{}_num_threads")
-
-
-@functools.cache
-def _openblas_libraries() -> tuple:
-    """(get, set) thread-count functions of every OpenBLAS loaded in the
-    process, found on first use: the openblas paths in /proc/self/maps,
-    opened with ctypes.  Empty where there is no /proc or no OpenBLAS."""
-    try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return ()
-    paths = sorted({f[5].strip() for f in fields
-                    if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1]})
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _OPENBLAS_THREAD_SYMBOLS:
-            get = getattr(lib, symbol.format("get"), None)
-            put = getattr(lib, symbol.format("set"), None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found.append((get, put))
-                break
-    return tuple(found)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold every loaded OpenBLAS to one thread, and restore the count each
-    had on entry.  The conjugation's blocks are too small for a second
-    thread to pay, and an idle OpenBLAS thread spins after each call."""
-    libraries = _openblas_libraries()
-    before = [get() for get, _ in libraries]
-    for _, put in libraries:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), n in zip(libraries, before):
-            put(n)
 
 
 def _frobenius(m: sparse.csr_array) -> float:
@@ -434,85 +375,15 @@ def build_T(model: FockModel) -> OperatorMatrix:
         model, (), _field_terms(model, 1j * model.B, model.E)))
 
 
-def _blocks(*matrices) -> list:
-    """The connected components of the union of the sparse matrices' nonzero
-    patterns, grouped by size: one (n_blocks, s) array of basis indices per
-    block size s, each row one block in increasing order.  Every matrix is
-    block diagonal on them, and an entry of any size joins its row and
-    column into one block."""
-    from scipy.sparse.csgraph import connected_components
-
-    dim = matrices[0].shape[0]
-    coos = [m.tocoo() for m in matrices]
-    rows = np.concatenate([c.row[c.data != 0] for c in coos])
-    cols = np.concatenate([c.col[c.data != 0] for c in coos])
-    pattern = sparse.csr_array((np.ones(rows.size), (rows, cols)),
-                               shape=(dim, dim))
-    _, labels = connected_components(pattern, directed=False)
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
-    starts = np.cumsum(sizes) - sizes
-    return [order[starts[sizes == s][:, None] + np.arange(s)]
-            for s in np.unique(sizes)]
-
-
-def _gather(m: sparse.csr_array, groups) -> list:
-    """m's blocks as one (n_blocks, s, s) stack per group of _blocks, filled
-    from its stored entries (m must be block diagonal on the groups)."""
-    group = np.empty(m.shape[0], dtype=np.intp)
-    block = np.empty_like(group)
-    place = np.empty_like(group)
-    for g, idx in enumerate(groups):
-        group[idx] = g
-        block[idx] = np.arange(idx.shape[0])[:, None]
-        place[idx] = np.arange(idx.shape[1])
-    coo = m.tocoo()
-    by_group = np.argsort(group[coo.row], kind="stable")
-    splits = np.cumsum(np.bincount(group[coo.row], minlength=len(groups)))
-    stacks = []
-    for idx, entries in zip(groups, np.split(by_group, splits[:-1])):
-        stack = np.zeros((idx.shape[0], idx.shape[1], idx.shape[1]),
-                         dtype=np.complex128)
-        r, c = coo.row[entries], coo.col[entries]
-        stack[block[r], place[r], place[c]] = coo.data[entries]
-        stacks.append(stack)
-    return stacks
-
-
-def _block_diagonal(groups, stacks, dim: int) -> sparse.csr_array:
-    """The dim x dim matrix holding stack[b] on rows and columns idx[b], for
-    every group idx of _blocks and its stack."""
-    rows = np.concatenate([np.repeat(idx, idx.shape[1]) for idx in groups])
-    cols = np.concatenate([np.tile(idx, idx.shape[1]).ravel()
-                           for idx in groups])
-    data = np.concatenate([stack.ravel() for stack in stacks])
-    return sparse.csr_array((data, (rows, cols)), shape=(dim, dim))
-
-
-def _dagger(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
-
-
-def unitary_from_generator(generator: np.ndarray, scale: float) -> np.ndarray:
-    """exp(i * scale * G) for a hermitian G, or for each matrix of a stack
-    of them, via eigendecomposition (exactly unitary up to roundoff;
-    backward error at the 1e-12 class of dense scaling-and-squaring)."""
-    vals, vecs = np.linalg.eigh(generator)
-    return (vecs * np.exp(1j * scale * vals)[..., None, :]) @ _dagger(vecs)
-
-
 def dress_hamiltonian(model: FockModel, h: OperatorMatrix,
                       t: OperatorMatrix) -> OperatorMatrix:
-    """U H U* with U = exp(i T / eps), built on each block of |H| + |T|
-    (U H U* vanishes outside them), one stack of equal-size blocks at a
-    time."""
-    groups = _blocks(h.csr, t.csr)
-    parts = []
-    with _one_blas_thread():
-        for hs, ts in zip(_gather(h.csr, groups), _gather(t.csr, groups)):
-            u = unitary_from_generator(ts, 1.0 / model.eps)
-            parts.append(u @ hs @ _dagger(u))
-    return OperatorMatrix(_block_diagonal(groups, parts, h.dim))
+    """U H U* with U = exp(i T / eps): the Chebyshev series of e^{-i tau T}
+    at tau = -1/eps applied to the sparse identity, which yields U as a csr
+    array.  U keeps the nonzero pattern of the powers of T, so neither U
+    nor U H U* stores an entry across the sectors that H and T conserve."""
+    identity = sparse.eye_array(h.dim, dtype=np.complex128, format="csr")
+    u = _chebyshev_exp(_enclosure(t.csr), -1.0 / model.eps, identity)
+    return OperatorMatrix(u @ h.csr @ u.conj().T)
 
 
 def assemble_dressed(model: FockModel) -> dict:
@@ -593,9 +464,8 @@ def dressed_comparison(model: FockModel) -> dict:
     sel = model.low_occupancy_indices(n_cut)
     restricted = conj.csr[sel][:, sel].toarray()
     diff = restricted - assembled.csr[sel][:, sel].toarray()
-    with _one_blas_thread():
-        diff_norm = float(np.linalg.norm(diff, 2))
-        scale = float(np.linalg.norm(restricted, 2))
+    diff_norm = float(np.linalg.norm(diff, 2))
+    scale = float(np.linalg.norm(restricted, 2))
     return {
         "conjugated": conj,
         "assembled": assembled,
@@ -715,17 +585,19 @@ def _bessel_coefficients(x: float) -> np.ndarray:
         extra *= 2
 
 
-def _chebyshev_exp(enclosure: tuple, tau: float, vectors) -> np.ndarray:
-    """e^{-i tau H} applied to vectors (a state or a (dim, k) stack), for a
-    hermitian H given by its _enclosure (a, b, X): e^{-i tau a} sum_k c_k
-    T_k(X) vectors with c_0 = J_0(tau b), c_k = 2 (-i)^k J_k(tau b), summed
-    by the three-term recurrence (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
-    3967, 1984).  ||T_k(X)|| <= 1, so the discarded tail of the Bessel
-    coefficients bounds the truncation error.  At b = 0 (H a multiple of
-    the identity) or tau = 0 the series is its first term, J_0(0) = 1: the
-    result is e^{-i tau a} vectors exactly."""
+def _chebyshev_exp(enclosure: tuple, tau: float, vectors):
+    """e^{-i tau H} applied to vectors (a state, a (dim, k) stack, or a
+    sparse array, which stays sparse: the sparse identity gives the whole
+    operator), for a hermitian H given by its _enclosure (a, b, X):
+    e^{-i tau a} sum_k c_k T_k(X) vectors with c_0 = J_0(tau b), c_k =
+    2 (-i)^k J_k(tau b), summed by the three-term recurrence (Tal-Ezer and
+    Kosloff, J. Chem. Phys. 81, 3967, 1984).  ||T_k(X)|| <= 1, so the
+    discarded tail of the Bessel coefficients bounds the truncation error.
+    At b = 0 (H a multiple of the identity) or tau = 0 the series is its
+    first term, J_0(0) = 1: the result is e^{-i tau a} vectors exactly."""
     a, b, x = enclosure
-    v = np.asarray(vectors, dtype=np.complex128)
+    v = vectors if sparse.issparse(vectors) else np.asarray(
+        vectors, dtype=np.complex128)
     # J_k(-y) = (-1)^k J_k(y): a negative tau flips the sign of -i
     j = _bessel_coefficients(abs(tau) * b)
     step = -1j if tau > 0 else 1j
@@ -873,19 +745,21 @@ def klmn_check(model: FockModel, n_samples: int = 1000,
     h0 = build_free_hamiltonian(model).csr
     comp = dress_hamiltonian(model, build_hamiltonian(model), build_T(model))
     h_i = comp.csr - h0
+    # each sample lives on one sector of KLMN_SECTORS, and its quadratic
+    # forms read only the rows and columns of those sectors
     n1, _ = model.sector_totals()
+    rows = np.flatnonzero(np.isin(n1, KLMN_SECTORS))
+    where = [np.flatnonzero(n1[rows] == n) for n in KLMN_SECTORS]
     rng = np.random.default_rng(seed)
-    xs, ys = [], []
-    for _ in range(n_samples):
-        sector = KLMN_SECTORS[rng.integers(len(KLMN_SECTORS))]
-        idx = np.where(n1 == sector)[0]
-        v = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-        state = np.zeros(model.dim, dtype=np.complex128)
-        state[idx] = v / np.linalg.norm(v)
-        xs.append(float(np.vdot(state, h0 @ state).real))
-        ys.append(abs(complex(np.vdot(state, h_i @ state))))
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
+    states = np.zeros((rows.size, n_samples), dtype=np.complex128)
+    for s in range(n_samples):
+        idx = where[rng.integers(len(KLMN_SECTORS))]
+        states[idx, s] = (rng.standard_normal(idx.size)
+                          + 1j * rng.standard_normal(idx.size))
+    states /= np.sqrt(np.sum(states.real**2 + states.imag**2, axis=0))
+    conj = states.conj()
+    xs = np.sum(conj * (h0[rows][:, rows] @ states), axis=0).real
+    ys = np.abs(np.sum(conj * (h_i[rows][:, rows] @ states), axis=0))
     c_grid = np.linspace(0.0, float(ys.max()) * 1.5 + 1e-12, 121)
     best = None
     for c in c_grid:

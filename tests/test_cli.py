@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -547,11 +548,32 @@ class TestFootprint:
         assert run_fresh(code, "polaronlab.fock", "scipy.sparse",
                          *FOCK_ONLY_SCIPY) == []
 
+    @pytest.mark.parametrize("name", ["fock_lemma", "fock_klmn"])
+    def test_conjugation_loads_no_linalg(self, tmp_path, name):
+        """A fock_lemma or fock_klmn run in a fresh process conjugates by
+        the sparse Chebyshev series: it loads neither scipy.linalg nor
+        scipy.sparse.csgraph."""
+        path = write_config(tmp_path, TINY[name][0])
+        code = ("from polaronlab.cli import main\n"
+                f"assert main(['run', {str(path)!r}, '--outdir', "
+                f"{str(tmp_path / 'out')!r}]) == 0")
+        assert run_fresh(code, "polaronlab.fock", "scipy.linalg",
+                         "scipy.sparse.csgraph") == ["polaronlab.fock"]
+
+    def test_fock_imports_no_ctypes(self):
+        """The Fock layer sets no thread count and opens no library."""
+        tree = ast.parse(
+            Path(polaronlab.__file__).with_name("fock.py").read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert "ctypes" not in imported
+
     def test_fock_run_loads_the_fock_layer_on_demand(self, tmp_path):
         """A fock_correspondence run in a fresh process imports the layer
-        it needs, and not the block conjugation's scipy.sparse.csgraph, and
-        writes the figures the layer wrote when it was imported with the
-        command line."""
+        it needs, and not scipy.sparse.csgraph, and writes the figures the
+        layer wrote when it was imported with the command line."""
         path = write_config(tmp_path, TINY["fock_correspondence"][0])
         out = tmp_path / "out"
         code = ("from polaronlab.cli import main\n"

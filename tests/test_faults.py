@@ -18,7 +18,8 @@ transpose of M (psi_j* psi_i for M_ij), in H, T and the dressed parts alike.
 The expansion's drift term then no longer matches the conjugation: the
 restricted difference reads 8.0e-04 against 3.4e-07 clean.  A fault in an
 O(dk) term, or one that drops a conjugate of the real drift, cannot be seen
-at dk = 1e-6.
+at dk = 1e-6.  A second row conjugates with the inverse Gross unitary
+exp(-iT/eps): the restricted difference reads 6.0e-04.
 
 Acceptance 10's row runs the quantum flow backwards in time.  Its final
 errors then sit near 0.29 at every eps, a flat curve that the monotone
@@ -85,6 +86,20 @@ def test_transposed_gamma_fails_08(monkeypatch):
     monkeypatch.setattr(fock, "_gamma_terms",
                         lambda model, m, prefix=(): gamma_terms(model, m.T,
                                                                 prefix))
+    rep = fock.dressed_comparison(fock.FockModel(
+        [0.0, 1.0, 2.0], [1.0, 2.0], dk=1e-6, eps=0.5, n_max_particles=6,
+        n_max_phonons=6, sigma0=1.5))
+    assert rep["restricted_diff_norm"] >= 10.0 * fock.EXPANSION_TOL
+    assert rep["expansion_holds"] is False
+
+
+def test_inverse_gross_unitary_fails_08(monkeypatch):
+    """Acceptance 08's data with U = exp(-iT/eps) in place of exp(iT/eps):
+    the conjugation's series runs with the opposite sign of tau."""
+    series = fock._chebyshev_exp
+    monkeypatch.setattr(fock, "_chebyshev_exp",
+                        lambda enclosure, tau, vectors: series(
+                            enclosure, -tau, vectors))
     rep = fock.dressed_comparison(fock.FockModel(
         [0.0, 1.0, 2.0], [1.0, 2.0], dk=1e-6, eps=0.5, n_max_particles=6,
         n_max_phonons=6, sigma0=1.5))

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
 
@@ -10,7 +7,6 @@ import pytest
 import scipy.linalg
 from scipy import sparse
 
-import polaronlab
 from polaronlab import fock
 from polaronlab.fock import (
     BOHR_SLACK,
@@ -18,9 +14,6 @@ from polaronlab.fock import (
     FockModel,
     OperatorMatrix,
     Propagator,
-    _blocks,
-    _one_blas_thread,
-    _openblas_libraries,
     assemble_dressed,
     build_T,
     build_free_hamiltonian,
@@ -35,7 +28,6 @@ from polaronlab.fock import (
     klmn_check,
     mode_amplitudes,
     mode_expectations,
-    unitary_from_generator,
     vacuum,
     weyl_operator,
 )
@@ -57,6 +49,21 @@ def sectors(model: FockModel):
     _, sector, sizes = np.unique(labels, axis=0, return_inverse=True,
                                  return_counts=True)
     return sector.ravel(), sizes
+
+
+def nine_generator() -> FockModel:
+    """Acceptance 09's particle modes, eps, dk and cutoffs with only its
+    k = 2 phonon, the one B reaches (|k| >= sigma0): the Gross generator
+    has 09's spectral enclosure, whose series takes 18 terms, at dim 588
+    instead of 2352."""
+    return FockModel(particle_momenta=[0.0, 1.0, 2.0], phonon_momenta=[2.0],
+                     dk=0.5, eps=0.5, n_max_particles=6, n_max_phonons=6,
+                     sigma0=1.5)
+
+
+def gross_unitary(model: FockModel, t: OperatorMatrix) -> np.ndarray:
+    """exp(i T / eps) by dense scaling and squaring."""
+    return scipy.linalg.expm(1j * t.matrix / model.eps)
 
 
 @pytest.fixture(scope="module")
@@ -365,14 +372,20 @@ class TestDressing:
         assert np.max(np.abs(hd.matrix - h.matrix)) < 1e-12
 
     def test_blockwise_conjugation_is_the_full_space_one(self, toy):
-        h = build_hamiltonian(toy)
-        t = build_T(toy)
-        hd = dress_hamiltonian(toy, h, t)
-        u = unitary_from_generator(t.matrix, 1.0 / toy.eps)
-        assert np.max(np.abs(hd.matrix - u @ h.matrix @ u.conj().T)) < 1e-11
-        sector, _ = sectors(toy)
-        outside = sector[:, None] != sector[None, :]
-        assert np.all(hd.matrix[outside] == 0.0)
+        """U H U* against U from a dense expm of T, on the toy (15 series
+        terms) and on acceptance 09's generator (18 terms); nothing is
+        stored across the (N1, P) sectors."""
+        for model, terms in ((toy, 15), (nine_generator(), 18)):
+            h, t = build_hamiltonian(model), build_T(model)
+            _, b, _ = fock._enclosure(t.csr)
+            assert fock._bessel_coefficients(b / model.eps).size == terms
+            hd = dress_hamiltonian(model, h, t)
+            u = gross_unitary(model, t)
+            assert np.max(np.abs(hd.matrix - u @ h.matrix @ u.conj().T)) \
+                < 1e-11
+            sector, _ = sectors(model)
+            stored = hd.csr.tocoo()
+            assert np.all(sector[stored.row] == sector[stored.col])
 
     def test_assembled_terms_conserve_sectors(self, toy):
         sector, _ = sectors(toy)
@@ -381,10 +394,30 @@ class TestDressing:
             hop = coo.data[sector[coo.row] != sector[coo.col]]
             assert not np.any(hop), name
 
+    @pytest.mark.parametrize("layout", [chain, nine_generator],
+                             ids=["toy", "nine"])
+    def test_series_on_the_sparse_identity_is_the_dense_one(self, layout):
+        """The Chebyshev series of exp(iT/eps) applied to the sparse
+        identity equals, bit for bit, the series on the dense identity."""
+        model = layout()
+        enclosure = fock._enclosure(build_T(model).csr)
+        tau = -1.0 / model.eps
+        u = fock._chebyshev_exp(enclosure, tau, sparse.eye_array(
+            model.dim, dtype=np.complex128, format="csr"))
+        assert sparse.issparse(u)
+        assert np.array_equal(u.toarray(), fock._chebyshev_exp(
+            enclosure, tau, np.eye(model.dim, dtype=np.complex128)))
+
     def test_unitarity(self, toy):
+        """The series' U = exp(iT/eps) on the sparse identity is unitary
+        and is the dense expm's."""
         t = build_T(toy)
-        u = unitary_from_generator(t.matrix, 1.0 / toy.eps)
+        u = fock._chebyshev_exp(fock._enclosure(t.csr), -1.0 / toy.eps,
+                                sparse.eye_array(toy.dim, dtype=np.complex128,
+                                                 format="csr"))
+        u = u.toarray()
         assert np.linalg.norm(u @ u.conj().T - np.eye(toy.dim)) < 1e-10
+        assert np.max(np.abs(u - gross_unitary(toy, t))) < 1e-11
 
     def test_restricted_expansion_matches(self):
         model = chain(dk=1e-6)
@@ -561,31 +594,12 @@ class TestEvolution:
             v1 = expect(n1, prop.apply(psi, 0.9)).real
             assert abs(v1 - v0) < 1e-10 * (1 + abs(v0))
 
-    def test_blocks_joined_by_a_tiny_entry_merge(self):
-        rng = np.random.default_rng(5)
-        m = np.zeros((6, 6), dtype=complex)
-        for idx in (np.arange(0, 6, 2), np.arange(1, 6, 2)):
-            x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            m[np.ix_(idx, idx)] = x + x.conj().T
-        psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        eps, t = 0.5, 0.7
-
-        for coupling, blocks in ((0.0, [[0, 2, 4], [1, 3, 5]]),
-                                 (1e-14, [list(range(6))])):
-            m[4, 1] = m[1, 4] = coupling
-            found = [b.tolist() for group in _blocks(sparse.csr_array(m))
-                     for b in group]
-            assert sorted(found) == blocks
-            op = OperatorMatrix(m)
-            assert np.max(np.abs(Propagator(op, eps).apply(psi, t)
-                                 - dense_propagation(op, eps, psi, t))) < 1e-12
-
     def test_undressed_route_via_conjugation(self, toy):
         # e^{-itH/eps} equals U* e^{-it UHU*/eps} U
         h = build_hamiltonian(toy)
         t_op = build_T(toy)
         hd = dress_hamiltonian(toy, h, t_op)
-        u = unitary_from_generator(t_op.matrix, 1.0 / toy.eps)
+        u = gross_unitary(toy, t_op)
         psi = coherent_state(toy, [0.2, 0.1, 0.0], [0.1, 0.1])
         t = 0.4
         direct = dense_propagation(h, toy.eps, psi, t)
@@ -730,6 +744,37 @@ class TestKLMN:
         val = expect(hd.matrix - h0.matrix, psi0)
         assert abs(val) < 1e-12
 
+    def test_samples_as_one_stack_match_a_loop(self, toy):
+        """klmn_check's a and C against the same draws evaluated one state
+        at a time on the whole basis, with the same grid of C (1e-13)."""
+        h0 = build_free_hamiltonian(toy).csr
+        h_i = dress_hamiltonian(toy, build_hamiltonian(toy),
+                                build_T(toy)).csr - h0
+        n1, _ = toy.sector_totals()
+        rng = np.random.default_rng(9)
+        xs, ys = [], []
+        for _ in range(200):
+            sector = fock.KLMN_SECTORS[rng.integers(len(fock.KLMN_SECTORS))]
+            idx = np.where(n1 == sector)[0]
+            v = rng.standard_normal(idx.size) + 1j * rng.standard_normal(
+                idx.size)
+            state = np.zeros(toy.dim, dtype=np.complex128)
+            state[idx] = v / np.linalg.norm(v)
+            xs.append(np.vdot(state, h0 @ state).real)
+            ys.append(abs(np.vdot(state, h_i @ state)))
+        xs, ys = np.array(xs), np.array(ys)
+        pairs = []
+        for c in np.linspace(0.0, ys.max() * 1.5 + 1e-12, 121):
+            over = ys > c
+            if not np.any(over):
+                pairs.append((0.0, c))
+            elif np.all(xs[over] > 1e-14):
+                pairs.append((np.max((ys[over] - c) / xs[over]), c))
+        a, c = min(pairs, key=lambda pair: pair[0])
+        rep = klmn_check(toy, n_samples=200, seed=9)
+        assert rep["a"] == pytest.approx(a, rel=1e-13, abs=1e-13)
+        assert rep["C"] == pytest.approx(c, rel=1e-13)
+
     def test_form_bound_exists(self, toy):
         rep = klmn_check(toy, n_samples=200, seed=9)
         assert rep["satisfied"]
@@ -737,27 +782,25 @@ class TestKLMN:
         assert rep["norm_kB_sq"] <= 1.0 / (toy.eps * toy.n_max_particles)
 
 
-def test_eigh_sees_no_block_beyond_a_sector(monkeypatch):
-    """The conjugation diagonalises one (N1, P) sector at a time, never the
-    whole space: every eigh input, single matrix or stack, is at most one
-    sector wide.  The correspondence experiment reaches no eigh at all."""
-    shapes = []
+def test_no_eigh_is_reached(monkeypatch):
+    """The conjugation (through dressed_comparison and klmn_check) and the
+    correspondence experiment reach no eigendecomposition: neither
+    np.linalg.eigh nor scipy.linalg.eigh is called."""
+    calls = []
 
     def recording(eigh):
         def wrapped(a, *args, **kwargs):
-            shapes.append(np.shape(a)[-2:])
+            calls.append(np.shape(a))
             return eigh(a, *args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
     monkeypatch.setattr(scipy.linalg, "eigh", recording(scipy.linalg.eigh))
-    model = chain(dk=1e-6)
+    dressed_comparison(chain(dk=1e-6))
+    klmn_check(chain(), n_samples=50, seed=9)
     correspondence_experiment(chain, [0.5, 0.25], [0.2, 0.1, 0.0],
                               [0.15, 0.1], 0.5, n_times=3)
-    assert shapes == []
-    dressed_comparison(model)
-    _, sizes = sectors(model)
-    assert shapes and max(max(s) for s in shapes) <= sizes.max() < model.dim
+    assert calls == []
 
 
 def traced_peak(fn) -> int:
@@ -808,48 +851,11 @@ def test_propagation_scales_to_dim_28392():
     assert all(abs(np.linalg.norm(s) - 1.0) < 1e-12 for s in states)
 
 
-def _thread_counts(libraries) -> list:
-    return [get() for get, _ in libraries]
-
-
-def test_one_blas_thread_holds_and_restores():
-    """Inside the helper every loaded OpenBLAS runs one thread; after it,
-    each runs the count it had before.  A numpy built on scipy-openblas has
-    at least one to find."""
-    libraries = _openblas_libraries()
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if blas["name"] == "scipy-openblas":
-        assert libraries
-    saved = _thread_counts(libraries)
-    try:
-        for _, put in libraries:
-            put(2)
-        with _one_blas_thread():
-            assert _thread_counts(libraries) == [1] * len(libraries)
-        assert _thread_counts(libraries) == [2] * len(libraries)
-    finally:
-        for (_, put), n in zip(libraries, saved):
-            put(n)
-
-
-def test_import_looks_up_no_blas_library():
-    """Importing the package (its command line loads every module) neither
-    looks up OpenBLAS nor sets a thread count: only entering the helper
-    does."""
-    src = os.path.dirname(os.path.dirname(polaronlab.__file__))
-    code = ("import polaronlab, polaronlab.cli; "
-            "from polaronlab.fock import _openblas_libraries as lookup; "
-            "print(lookup.cache_info().currsize)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "0"
-
-
 @pytest.mark.parametrize("stage", ["propagator", "dress_hamiltonian"])
 def test_block_kernels_run_on_one_thread(stage):
-    """At dim 525 neither the conjugation's blocks nor the propagator's
-    sparse products pay a second BLAS thread, which would only spin: 20
+    """At dim 525 neither the conjugation's sparse series nor the
+    propagator's sparse products pay a second BLAS thread, which would
+    only spin: 20
     calls take no more process CPU than 1.3 times their wall time (two
     threads read about 2)."""
     model = chain()
