@@ -27,6 +27,8 @@ CANCELLATION_TOL = 1e-10
 IDENTITY_TOL = 1e-9
 T0_TOL = 1e-12
 CONJUGATION_ORDER_WINDOW = (1.7, 2.3)
+PAIRING_STEPS = (1e-3, 1e-4)
+PAIRING_PAIRS = 5
 
 
 def cancellation_residual(z: PhasePoint, ff: FormFactorSet) -> float:
@@ -43,24 +45,23 @@ def _induced_phase_peak(g: SpectralGrid, ff: FormFactorSet,
     return float(np.max(np.abs(field_A(g, induced, 1j * ff.B))))
 
 
-def dressing_apply(z: PhasePoint, theta: float, ff: FormFactorSet,
-                   check_cancellation: bool = True) -> PhasePoint:
+def dressing_apply(z: PhasePoint, theta: float,
+                   ff: FormFactorSet) -> PhasePoint:
     """Apply the dressing flow at parameter theta (pure phase on u, shift
-    on alpha; mass preserved exactly).  The phase is A_{alpha, iB}(x);
-    check_cancellation asserts that the alpha shift induces none, on the
-    one transform F(|u|^2) that the shift is built from."""
+    on alpha; mass preserved exactly).  The phase is A_{alpha, iB}(x); an
+    AssertionError if the alpha shift induces one, checked on the one
+    transform F(|u|^2) that the shift is built from."""
     g = z.grid
     if not g.same_as(ff.grid):
         raise GridMismatchError("form factors built on a different grid")
     phase = field_A(g, z.alpha, 1j * ff.B)
     w = z.u.real**2 + z.u.imag**2
     fw = g.fourier_dx(w)
-    if check_cancellation:
-        resid = _induced_phase_peak(g, ff, ff.B * fw)
-        scale = 1.0 + float(np.max(np.abs(phase)))
-        if resid > CANCELLATION_TOL * scale:
-            raise AssertionError(
-                f"self-induced phase fails to cancel: residual {resid:.3e}")
+    resid = _induced_phase_peak(g, ff, ff.B * fw)
+    scale = 1.0 + float(np.max(np.abs(phase)))
+    if resid > CANCELLATION_TOL * scale:
+        raise AssertionError(
+            f"self-induced phase fails to cancel: residual {resid:.3e}")
     u = z.u * np.exp(-1j * theta * phase)
     alpha = z.alpha + theta * ff.B * fw
     return PhasePoint(g, u, alpha, check=False)
@@ -142,10 +143,8 @@ def symplectic_pairing_defect(z: PhasePoint, v: PhasePoint, w: PhasePoint,
     T of D(1) at z along tangent directions v, w."""
 
     def push(direction: PhasePoint) -> PhasePoint:
-        plus = dressing_apply(z.add(direction, h), 1.0, ff,
-                              check_cancellation=False)
-        minus = dressing_apply(z.add(direction, -h), 1.0, ff,
-                               check_cancellation=False)
+        plus = dressing_apply(z.add(direction, h), 1.0, ff)
+        minus = dressing_apply(z.add(direction, -h), 1.0, ff)
         return PhasePoint(z.grid, (plus.u - minus.u) / (2.0 * h),
                           (plus.alpha - minus.alpha) / (2.0 * h), check=False)
 
@@ -155,10 +154,11 @@ def symplectic_pairing_defect(z: PhasePoint, v: PhasePoint, w: PhasePoint,
     return abs(tv.pairing(tw).imag - ref)
 
 
-def pairing_defects(z: PhasePoint, ff: FormFactorSet, rng: np.random.Generator,
-                    steps=(1e-3, 1e-4), n_pairs: int = 5) -> dict:
-    """Worst symplectic_pairing_defect over n_pairs random tangent pairs at
-    each step h; D(1) is symplectic, so each is O(h)."""
+def pairing_defects(z: PhasePoint, ff: FormFactorSet,
+                    rng: np.random.Generator) -> dict:
+    """Worst symplectic_pairing_defect over PAIRING_PAIRS random tangent
+    pairs at each step h of PAIRING_STEPS; D(1) is symplectic, so each is
+    O(h)."""
     tangent = lambda: PhasePoint.random_unit(z.grid, rng)
     return {h: max(symplectic_pairing_defect(z, tangent(), tangent(), ff, h)
-                   for _ in range(n_pairs)) for h in steps}
+                   for _ in range(PAIRING_PAIRS)) for h in PAIRING_STEPS}

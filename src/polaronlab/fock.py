@@ -10,11 +10,13 @@ which is compared term by term against the dressed expansion (infrared
 coupling, pair potential, quadratic field term, drift term, and the
 number-weighted constant).
 
-Operators are scipy.sparse arrays built from per-mode ladder tables: for
-a_m and a_m* the model keeps the image (index and value) of every basis
-state, with a null state for the images that lowering an empty mode or
-raising past the occupancy cap drop.  A monomial of ladder operators is
-applied to the whole basis at once by indexing through its factors, right
+The model keeps its basis once, as the (dim, M) occupancy array of its M
+modes in lexicographic order (the vacuum is row 0), and two per-mode
+ladder tables: for a_m and a_m* the image (index and value) of every
+basis state, with a null state for the images that lowering an empty mode
+or raising past the occupancy cap drop.  Operators are scipy.sparse arrays
+built from the tables.  A monomial of ladder operators is applied to the
+whole basis at once by indexing through its factors, right
 to left, so truncation acts at each factor as in a product of the
 truncated matrices; monomials with the same number of factors run as one
 stack, and each operator is one sparse construction over the (row,
@@ -110,13 +112,16 @@ class OperatorMatrix:
         return self.csr.shape[0]
 
 
-def _sector_tuples(n_modes: int, n_max: int) -> list:
-    """All occupation tuples of n_modes with total occupancy <= n_max, in
-    lexicographic order."""
-    if n_modes == 0:
-        return [()]
-    return [(n,) + rest for n in range(n_max + 1)
-            for rest in _sector_tuples(n_modes - 1, n_max - n)]
+def _sector_occupations(n_modes: int, n_max: int) -> np.ndarray:
+    """All occupations of n_modes with total occupancy <= n_max, one row
+    each, in lexicographic order: mode by mode, a row with r quanta left
+    is followed by its r + 1 extensions 0, ..., r."""
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_modes):
+        parent = np.repeat(np.arange(len(occ)), n_max + 1 - occ.sum(axis=1))
+        n = np.arange(parent.size) - np.searchsorted(parent, parent)
+        occ = np.column_stack([occ[parent], n])
+    return occ
 
 
 def _ladder_tables(occupancy: np.ndarray, eps: float) -> tuple:
@@ -129,9 +134,14 @@ def _ladder_tables(occupancy: np.ndarray, eps: float) -> tuple:
     a_m|n> = sqrt(eps n_m)|n - e_m>.  The basis is sorted lexicographically,
     so the mixed-radix keys of its occupation tuples increase and
     searchsorted finds each target state (lowering never leaves the basis);
-    raising is its transpose."""
+    raising is its transpose.  The keys are int64: a ValueError if they
+    could overflow, radix**M > 2**63 - 1."""
     dim, n_modes = occupancy.shape
     radix = int(occupancy.max(initial=0)) + 1
+    if radix ** n_modes > 2**63 - 1:
+        raise ValueError(
+            f"{n_modes} modes at occupancy cap {radix - 1} overflow the int64 "
+            f"occupation keys: {radix}**{n_modes} > 2**63 - 1")
     weights = radix ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
     keys = occupancy @ weights
     index = np.full((2 * n_modes, dim + 1), dim, dtype=np.intp)
@@ -152,7 +162,8 @@ def _momentum_table(momenta) -> np.ndarray:
 
 
 class FockModel:
-    """Workspace: basis index, ladder tables and matrices, mode tables.
+    """Workspace: the occupation basis as one (dim, M) array, its two
+    ladder tables, and the mode tables and one-particle matrices.
 
     Parameters
     ----------
@@ -189,25 +200,22 @@ class FockModel:
         self.B = gross_generator_b(k_mag, self.space_dim, self.sigma0)
         self.pair_symbol = self.B**2 + 2.0 * self.B * self.f
 
+        sectors = ((self.n_particle_modes, self.n_max_particles),
+                   (self.n_phonon_modes, self.n_max_phonons))
         # M modes hold comb(M + n, M) occupation tuples of total <= n
-        self.dim = math.prod(math.comb(m + n, m) for m, n in (
-            (self.n_particle_modes, self.n_max_particles),
-            (self.n_phonon_modes, self.n_max_phonons)))
+        self.dim = math.prod(math.comb(m + n, m) for m, n in sectors)
         if self.dim > max_dim:
             raise ValueError(
                 f"basis dimension {self.dim} exceeds the basis-size guard "
                 f"max_dim = {max_dim}")
-        p_tuples = _sector_tuples(self.n_particle_modes, self.n_max_particles)
-        f_tuples = _sector_tuples(self.n_phonon_modes, self.n_max_phonons)
-        self.basis = [pt + ft for pt in p_tuples for ft in f_tuples]
-        self.index = {occ: i for i, occ in enumerate(self.basis)}
-        self.occupancy = np.asarray(self.basis, dtype=np.int64)
-
         self.n_modes = self.n_particle_modes + self.n_phonon_modes
+        p_occ, f_occ = (_sector_occupations(m, n) for m, n in sectors)
+        # the sector product in lexicographic order: each particle row
+        # followed by every phonon row
+        self.occupancy = np.hstack([np.repeat(p_occ, len(f_occ), axis=0),
+                                    np.tile(f_occ, (len(p_occ), 1))])
         self._ladder_index, self._ladder_value = _ladder_tables(
             self.occupancy, self.eps)
-        self._lower = [_ladder_sum(self, [(np.ones(1), np.array([[m]]))])
-                       for m in range(self.n_modes)]
 
         # one-particle matrices on the particle mode space
         self.kinetic_1p = np.diag(
@@ -235,28 +243,15 @@ class FockModel:
     # -- ladder accessors -----------------------------------------------------
 
     def psi(self, m: int) -> sparse.csr_array:
-        return self._lower[m]
-
-    def a(self, j: int) -> sparse.csr_array:
-        return self._lower[self.n_particle_modes + j]
+        """The lowering operator a_m (particles first), built from the
+        ladder tables on each call."""
+        return _ladder_sum(self, [(np.ones(1), np.array([[m]]))])
 
     def sector_totals(self) -> tuple:
         """Total particle and phonon occupancy of every basis state."""
         mp = self.n_particle_modes
         return (self.occupancy[:, :mp].sum(axis=1),
                 self.occupancy[:, mp:].sum(axis=1))
-
-    def number_operator(self, sector: str) -> sparse.csr_array:
-        """Diagonal N1 or N2 with spectrum eps * occupancy."""
-        n1, n2 = self.sector_totals()
-        if sector == "particles":
-            tot = n1
-        elif sector == "phonons":
-            tot = n2
-        else:
-            raise ValueError("sector must be 'particles' or 'phonons'")
-        return sparse.diags_array((self.eps * tot).astype(np.complex128),
-                                  format="csr")
 
     def gamma(self, m_1p: np.ndarray) -> sparse.csr_array:
         """Second quantization sum_ij M_ij psi_i* psi_j of a one-particle
@@ -482,8 +477,9 @@ def dressed_comparison(model: FockModel) -> dict:
 
 
 def vacuum(model: FockModel) -> np.ndarray:
+    """The empty state, row 0 of the lexicographic basis."""
     v = np.zeros(model.dim, dtype=np.complex128)
-    v[model.index[(0,) * model.occupancy.shape[1]]] = 1.0
+    v[0] = 1.0
     return v
 
 
@@ -530,13 +526,15 @@ def weyl_operator(model: FockModel, mode_amps, vectors) -> np.ndarray:
     return _chebyshev_exp(_enclosure(minus_phi_f), 1.0, vectors)
 
 
-def expect(op, state: np.ndarray) -> complex:
-    return complex(np.vdot(state, op @ state))
-
-
 def mode_expectations(model: FockModel, state: np.ndarray) -> np.ndarray:
-    """<a_m> for every mode, particles first."""
-    return np.array([expect(low, state) for low in model._lower])
+    """<a_m> for every mode, particles first.  a_m has at most one entry
+    per row, so a_m state is value * state scattered through row m of the
+    index table (the truncated images land on the null state, dropped)."""
+    n, dim = model.n_modes, model.dim
+    at = model._ladder_index[:n, :dim] + (dim + 1) * np.arange(n)[:, None]
+    images = np.zeros((n, dim + 1), dtype=np.complex128)
+    images.ravel()[at] = model._ladder_value[:n, :dim] * state
+    return np.array([np.vdot(state, image[:dim]) for image in images])
 
 
 # -- quantum evolution ---------------------------------------------------------------

@@ -135,8 +135,7 @@ def test_07_dressing_exactness(small):
     inv = dressing.dressing_apply(
         dressing.dressing_apply(z, 1.0, ff), -1.0, ff).distance(z)
     cancel = dressing.cancellation_residual(z, ff)
-    defects = dressing.pairing_defects(z, ff, np.random.default_rng(5),
-                                       steps=(1e-3, 1e-4), n_pairs=5)
+    defects = dressing.pairing_defects(z, ff, np.random.default_rng(5))
     tol = dressing.CANCELLATION_TOL
     ok = (inv < 1e-10 and cancel < tol
           and all(d <= h for h, d in defects.items()))

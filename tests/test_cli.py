@@ -154,6 +154,17 @@ class TestConfig:
         assert "basis-size guard" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_fock_layout_overflowing_the_occupation_keys_is_refused(
+            self, tmp_path, capsys):
+        """41 modes at occupancy cap 2 (dim 1722, inside the size guard)
+        need occupation keys past int64: validate exits 2 and says so."""
+        body = ("[scenario]\nname = fock_lemma\n[fock]\n"
+                f"particle_momenta = {','.join(map(str, range(40)))}\n"
+                "phonon_momenta = 1.0\nn_max_particles = 2\n"
+                "n_max_phonons = 1\n")
+        assert main(["validate", str(write_config(tmp_path, body))]) == 2
+        assert "overflow the int64" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [("n_max_phonons", "0"),
                                             ("eps_list", "0.5,0.01"),
                                             ("alpha0", "0.2")])

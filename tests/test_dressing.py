@@ -48,10 +48,7 @@ class TestDressingFlow:
             zb = dressing_apply(smooth_state, t1 + t2, ff16)
             assert za.distance(zb) < 1e-10
 
-    @pytest.mark.parametrize("check, expected", [
-        (True, {"fftn": 1, "irfftn": 2}), (False, {"fftn": 1, "irfftn": 1})])
-    def test_transform_calls(self, monkeypatch, ff16, smooth_state, check,
-                             expected):
+    def test_transform_calls(self, monkeypatch, ff16, smooth_state):
         """|u|^2 is transformed once: the alpha shift and the cancellation
         check share F(|u|^2), and each phase field is one c2r transform."""
         calls = collections.Counter()
@@ -64,8 +61,8 @@ class TestDressingFlow:
 
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             monkeypatch.setattr(sfft, name, counting(name, getattr(sfft, name)))
-        dressing_apply(smooth_state, 1.0, ff16, check_cancellation=check)
-        assert calls == expected
+        dressing_apply(smooth_state, 1.0, ff16)
+        assert calls == {"fftn": 1, "irfftn": 2}
 
     def test_cancellation_residual(self, ff16, smooth_state):
         assert cancellation_residual(smooth_state, ff16) < 1e-10

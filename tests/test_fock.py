@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -24,7 +25,6 @@ from polaronlab.fock import (
     correspondence_experiment,
     dress_hamiltonian,
     dressed_comparison,
-    expect,
     klmn_check,
     mode_amplitudes,
     mode_expectations,
@@ -38,6 +38,29 @@ def chain(eps=0.5, n_max=4, dk=0.5) -> FockModel:
     return FockModel(particle_momenta=[0.0, 1.0, 2.0],
                      phonon_momenta=[1.0, 2.0], dk=dk, eps=eps,
                      n_max_particles=n_max, n_max_phonons=n_max, sigma0=1.5)
+
+
+def number(model: FockModel, sector: int) -> sparse.dia_array:
+    """N1 (sector 0) or N2 (sector 1): diagonal, eps times the occupancy."""
+    return sparse.diags_array(model.eps * model.sector_totals()[sector])
+
+
+def row_index(model: FockModel) -> dict:
+    """Basis row of every occupation tuple."""
+    return {tuple(occ): i for i, occ in enumerate(model.occupancy.tolist())}
+
+
+def product_basis(model: FockModel) -> np.ndarray:
+    """The occupation basis enumerated independently: every tuple of
+    occupations up to the larger cap, kept where each sector's total is
+    within its cap, sorted."""
+    mp = model.n_particle_modes
+    cap = max(model.n_max_particles, model.n_max_phonons)
+    rows = [occ for occ in itertools.product(range(cap + 1),
+                                             repeat=model.n_modes)
+            if sum(occ[:mp]) <= model.n_max_particles
+            and sum(occ[mp:]) <= model.n_max_phonons]
+    return np.array(sorted(rows), dtype=np.int64).reshape(-1, model.n_modes)
 
 
 def sectors(model: FockModel):
@@ -224,7 +247,42 @@ class TestModel:
     def test_dimension_formula_counts_the_basis(self, n_p, n_f):
         model = FockModel([0.0, 1.0, 2.0], [1.0, 2.0], dk=0.5, eps=0.5,
                           n_max_particles=n_p, n_max_phonons=n_f, sigma0=1.5)
-        assert model.dim == len(model.basis) == len(set(model.basis))
+        assert model.dim == len(model.occupancy)
+        assert np.array_equal(model.occupancy, product_basis(model))
+
+    @pytest.mark.parametrize("layout", [
+        plane,
+        lambda: FockModel([0.0, 1.0, 2.0], [], dk=0.5, eps=0.5,
+                          n_max_particles=3, n_max_phonons=2, sigma0=1.5),
+        lambda: chain(n_max=0)], ids=["plane", "no-phonon-modes", "n_max-0"])
+    def test_occupancy_is_the_sorted_product(self, layout):
+        """The occupancy array is the sorted product enumeration, also with
+        a sector of no modes and with empty caps."""
+        model = layout()
+        assert np.array_equal(model.occupancy, product_basis(model))
+
+    def test_vacuum_is_row_zero(self):
+        for model in (chain(), plane()):
+            v = vacuum(model)
+            assert np.flatnonzero(v).tolist() == [0] and v[0] == 1.0
+            assert not np.any(model.occupancy[0])
+
+    def test_keys_that_would_overflow_are_refused(self):
+        """41 modes at cap 2 (dim 1722, inside the size guard) would need
+        occupation keys up to 3**41 > 2**63: refused, where the int64 keys
+        would land lowering images on wrong rows.  39 modes fit, and every
+        lowering image has one quantum fewer in its mode."""
+        with pytest.raises(ValueError, match="overflow the int64"):
+            FockModel(list(range(40)), [1.0], dk=0.5, eps=0.5,
+                      n_max_particles=2, n_max_phonons=1, sigma0=1.5)
+        model = FockModel(list(range(38)), [1.0], dk=0.5, eps=0.5,
+                          n_max_particles=2, n_max_phonons=1, sigma0=1.5)
+        occ = model.occupancy
+        for m in range(model.n_modes):
+            cols = np.flatnonzero(occ[:, m])
+            expected = occ[cols]
+            expected[:, m] -= 1
+            assert np.array_equal(occ[model._ladder_index[m, cols]], expected)
 
     def test_guard_refuses_before_enumerating(self, monkeypatch):
         """n_max 400 on the chain is a basis of about 9e11 states: the guard
@@ -232,7 +290,7 @@ class TestModel:
         def enumerate_nothing(*args):
             raise AssertionError("the basis was enumerated")
 
-        monkeypatch.setattr(fock, "_sector_tuples", enumerate_nothing)
+        monkeypatch.setattr(fock, "_sector_occupations", enumerate_nothing)
         with pytest.raises(ValueError, match="basis-size guard"):
             chain(n_max=400)
 
@@ -241,45 +299,38 @@ class TestModel:
         n2 = toy.occupancy[:, 3:].sum(axis=1)
         interior = np.where(n2 <= toy.n_max_phonons - 1)[0]
         for j in range(toy.n_phonon_modes):
-            a = toy.a(j)
+            a = toy.psi(toy.n_particle_modes + j)
             comm = a @ a.conj().T - a.conj().T @ a
             block = comm[np.ix_(interior, interior)]
             assert np.max(np.abs(block - toy.eps * np.eye(len(interior)))) \
                 < 1e-12
-
-    def test_number_operators(self, toy):
-        for sector in ("particles", "phonons"):
-            n = toy.number_operator(sector).toarray()
-            assert np.max(np.abs(n - np.diag(np.diag(n)))) == 0.0
-            vals = np.diag(n).real
-            assert np.min(vals) >= 0.0
-            steps = np.unique(np.round(vals / toy.eps).astype(int))
-            assert set(steps).issubset(set(range(0, 5)))
 
     def test_gamma_restriction_scaling(self, toy):
         # Gamma(M) on a one-particle basis state equals eps * M
         m = np.array([[0.3, 0.7, 0.0], [0.7, -0.2, 0.1], [0.0, 0.1, 0.5]],
                      dtype=complex)
         gm = toy.gamma(m)
+        index = row_index(toy)
         for i in range(3):
             occ = [0, 0, 0, 0, 0]
             occ[i] = 1
-            col = toy.index[tuple(occ)]
+            col = index[tuple(occ)]
             for j in range(3):
                 occ2 = [0, 0, 0, 0, 0]
                 occ2[j] = 1
-                row = toy.index[tuple(occ2)]
+                row = index[tuple(occ2)]
                 assert gm[row, col] == pytest.approx(toy.eps * m[j, i],
                                                      abs=1e-14)
 
     def test_ladders_match_occupancy_oracle(self, toy):
+        index = row_index(toy)
         for m in range(5):
             oracle = np.zeros((toy.dim, toy.dim), dtype=complex)
-            for col, occ in enumerate(toy.basis):
+            for col, occ in enumerate(toy.occupancy.tolist()):
                 if occ[m]:
                     target = list(occ)
                     target[m] -= 1
-                    oracle[toy.index[tuple(target)], col] = math.sqrt(
+                    oracle[index[tuple(target)], col] = math.sqrt(
                         toy.eps * occ[m])
             assert np.array_equal(toy.psi(m).toarray(), oracle)
 
@@ -288,7 +339,8 @@ class TestModel:
         rng = np.random.default_rng(11)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         oracle = np.zeros((toy.dim, toy.dim), dtype=complex)
-        for col, occ in enumerate(toy.basis):
+        index = row_index(toy)
+        for col, occ in enumerate(toy.occupancy.tolist()):
             for i in range(3):
                 for j in range(3):
                     if occ[j] == 0:
@@ -296,7 +348,7 @@ class TestModel:
                     target = list(occ)
                     target[j] -= 1
                     target[i] += 1
-                    oracle[toy.index[tuple(target)], col] += (
+                    oracle[index[tuple(target)], col] += (
                         m[i, j] * toy.eps * math.sqrt(occ[j] * target[i]))
         assert np.max(np.abs(toy.gamma(m).toarray() - oracle)) < 1e-14
 
@@ -314,7 +366,7 @@ class TestHamiltonians:
     def test_hermitian_and_number_conserving(self, toy):
         h = build_hamiltonian(toy)
         t = build_T(toy)
-        n1 = toy.number_operator("particles")
+        n1 = number(toy, 0)
         for op in (h, t):
             m = op.matrix
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
@@ -450,12 +502,24 @@ class TestCoherentStates:
         got = mode_expectations(toy, psi)
         assert np.max(np.abs(got - amps)) < 1e-6
 
+    @pytest.mark.parametrize("eps", [0.5, 0.25, 0.125])
+    def test_mode_expectations_are_the_ladder_matvecs(self, eps):
+        """On fock-bohr's three models, at its data propagated to t = 0.5,
+        <a_m> from the index table equals np.vdot(psi, a_m psi) with the
+        csr a_m, bit for bit."""
+        model = chain(eps, n_max=4)
+        psi = Propagator(build_hamiltonian(model), eps).apply(
+            coherent_state(model, [0.25, 0.15j, 0.0], [0.2, -0.1j]), 0.5)
+        got = mode_expectations(model, psi)
+        assert np.array_equal(got, [np.vdot(psi, model.psi(m) @ psi)
+                                    for m in range(model.n_modes)])
+
     def test_phonon_number_poisson(self, toy):
         alpha = [0.2, 0.1]
         psi = coherent_state(toy, [0, 0, 0], alpha)
-        n2 = toy.number_operator("phonons")
+        n2 = number(toy, 1)
         # equality up to the Poisson tail cut off at n_max
-        assert expect(n2, psi).real == pytest.approx(
+        assert np.vdot(psi, n2 @ psi).real == pytest.approx(
             sum(a * a for a in alpha), abs=1e-6)
 
     def test_margin_rule(self, toy):
@@ -491,8 +555,8 @@ class TestCoherentStates:
         column, against a dense expm of phi(f) built here."""
         rng = np.random.default_rng(4)
         f = 0.6 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        af = sum(np.conj(fm) * low.toarray()
-                 for fm, low in zip(f, toy._lower))
+        af = sum(np.conj(f[m]) * toy.psi(m).toarray()
+                 for m in range(toy.n_modes))
         w = scipy.linalg.expm(1j * (af + af.conj().T) / math.sqrt(2.0))
         cols = (rng.standard_normal((toy.dim, 3))
                 + 1j * rng.standard_normal((toy.dim, 3)))
@@ -579,19 +643,20 @@ class TestEvolution:
         hd = dress_hamiltonian(toy, h, build_T(toy))
         prop = Propagator(hd, toy.eps)
         psi = coherent_state(toy, [0.2, 0.1, 0.0], [0.1, 0.1])
-        e0 = expect(hd.matrix, psi).real
-        e1 = expect(hd.matrix, prop.apply(psi, 1.3)).real
+        psi_t = prop.apply(psi, 1.3)
+        e0 = np.vdot(psi, hd.matrix @ psi).real
+        e1 = np.vdot(psi_t, hd.matrix @ psi_t).real
         assert abs(e1 - e0) < 1e-10 * (1 + abs(e0))
 
     def test_n1_conserved_under_both(self, toy):
         h = build_hamiltonian(toy)
         hd = dress_hamiltonian(toy, h, build_T(toy))
-        n1 = toy.number_operator("particles")
+        n1 = number(toy, 0)
         psi = coherent_state(toy, [0.2, 0.1, 0.0], [0.1, 0.1])
         for op in (h, hd):
-            prop = Propagator(op, toy.eps)
-            v0 = expect(n1, psi).real
-            v1 = expect(n1, prop.apply(psi, 0.9)).real
+            psi_t = Propagator(op, toy.eps).apply(psi, 0.9)
+            v0 = np.vdot(psi, n1 @ psi).real
+            v1 = np.vdot(psi_t, n1 @ psi_t).real
             assert abs(v1 - v0) < 1e-10 * (1 + abs(v0))
 
     def test_undressed_route_via_conjugation(self, toy):
@@ -741,7 +806,7 @@ class TestKLMN:
         hd = dress_hamiltonian(toy, h, build_T(toy))
         h0 = build_free_hamiltonian(toy)
         psi0 = vacuum(toy)
-        val = expect(hd.matrix - h0.matrix, psi0)
+        val = np.vdot(psi0, (hd.matrix - h0.matrix) @ psi0)
         assert abs(val) < 1e-12
 
     def test_samples_as_one_stack_match_a_loop(self, toy):
@@ -801,6 +866,25 @@ def test_no_eigh_is_reached(monkeypatch):
     correspondence_experiment(chain, [0.5, 0.25], [0.2, 0.1, 0.0],
                               [0.15, 0.1], 0.5, n_times=3)
     assert calls == []
+
+
+def test_model_keeps_only_its_occupancy_and_ladder_tables():
+    """At dim 35 490 (the chain, caps 12/11, eps = 0.125) the memory a
+    built model holds is at most 1.1 times the bytes of its occupancy
+    array and its two ladder tables: no other copy of the basis and no
+    operator is kept."""
+    tracemalloc.start()
+    try:
+        model = FockModel([0.0, 1.0, 2.0], [1.0, 2.0], dk=0.5, eps=0.125,
+                          n_max_particles=12, n_max_phonons=11, sigma0=1.5,
+                          max_dim=40000)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert model.dim == 35490
+    tables = (model.occupancy.nbytes + model._ladder_index.nbytes
+              + model._ladder_value.nbytes)
+    assert kept <= 1.1 * tables
 
 
 def traced_peak(fn) -> int:
